@@ -2,8 +2,8 @@
 and the memory-size sweep, all reported as CSV rows of exact block-transfer
 counts (wall time is recorded but never asserted on).
 
-Counters bracket the measured region only: structures are built and graphs
-loaded first, stats reset, then the workload runs.
+Counters bracket the measured region only: building a heap makes no access,
+and a graph's counters are reset after it is loaded, before the run starts.
 """
 
 from __future__ import annotations
@@ -13,18 +13,17 @@ from dataclasses import dataclass
 
 from .binary_heap import BinaryHeap
 from .bucket_heap import BucketHeap
-from .emcore import BlockVector, IoStats, DEFAULT_BLOCK_BYTES, DEFAULT_CACHE_BYTES, MB
+from .emcore import EmConfig, IoStats, DEFAULT_BLOCK_BYTES, DEFAULT_CACHE_BYTES, MB
 from .funnel_heap import FunnelHeap
 from .graphs import Graph, SplitMix64, load_csr
-from .emcore import EmConfig
-from . import sssp as _sssp
+from .sssp import SSSP, sssp_reference
 
 CSV_HEADER = (
     "experiment,structure,size,cache_bytes,block_bytes,seed,wall_seconds,"
     "pq_reads,pq_writes,graph_reads,graph_writes,peak_heap_entries"
 )
 
-STRUCTURES = ("binary", "funnel", "bucket")
+STRUCTURES = tuple(SSSP)
 
 # first columns of the published experiment grids
 PQ_SIZES = [1 << e for e in range(16, 26)]
@@ -86,65 +85,30 @@ def write_csv(records: list[BenchRecord], fh) -> None:
         fh.write(r.csv_row() + "\n")
 
 
-# -- uniform heap drivers -------------------------------------------------------
+# -- the heaps share one surface: insert(id, key), delete_min(), find_min()
+# (None when empty), occupancy() and vectors() ---------------------------------
+
+HEAPS = {"binary": BinaryHeap, "funnel": FunnelHeap, "bucket": BucketHeap}
 
 
-class _Driver:
-    """Adapts the three heaps to one insert/delete_min surface and tracks peaks."""
-
-    def __init__(self, structure: str, cache_bytes: int, block_bytes: int):
-        self.structure = structure
-        self.peak = 0
-        if structure == "binary":
-            self.h = BinaryHeap(cache_bytes, block_bytes)
-        elif structure == "funnel":
-            self.h = FunnelHeap(cache_bytes, block_bytes)
-        elif structure == "bucket":
-            self.h = BucketHeap(cache_bytes, block_bytes)
-        else:
-            raise ValueError(f"unknown structure {structure!r} (want one of {STRUCTURES})")
-
-    def insert(self, ident: int, key: int) -> None:
-        h = self.h
-        if self.structure == "bucket":
-            h.update(ident, key)
-            occ = h.stored
-        else:
-            h.insert(ident, key)
-            occ = len(h)
-        if occ > self.peak:
-            self.peak = occ
-
-    def delete_min(self) -> tuple[int, int]:
-        return self.h.delete_min()
-
-    def is_empty(self) -> bool:
-        if self.structure == "bucket":
-            return self.h.find_min() is None
-        return len(self.h) == 0
-
-    def vectors(self) -> dict[str, BlockVector]:
-        return self.h.vectors()
-
-    def reset_stats(self) -> None:
-        for v in self.vectors().values():
-            v.reset_stats()
-
-    def pq_stats(self) -> IoStats:
-        total = IoStats()
-        for v in self.vectors().values():
-            total = total + v.stats()
-        return total
+def io_stats(heap) -> IoStats:
+    """Transfers summed over every vector of a heap."""
+    return sum((v.stats() for v in heap.vectors().values()), IoStats())
 
 
-def pq_workload(pq, n: int, seed: int, deadline: float | None = None) -> int:
+def pq_workload(
+    pq, n: int, seed: int, deadline: float | None = None, peak: list[int] | None = None
+) -> int:
     """The four-phase sequence: insert n, pop floor(n/2), insert floor(n/2),
     pop n (heap empty at the end). Returns an order-sensitive checksum of the
-    popped (id, key) pairs."""
+    popped (id, key) pairs. When given, peak[0] is raised to the largest
+    occupancy() seen after an insert; it holds even if the deadline passes."""
     rng = SplitMix64(seed)
     checksum = 0
     ident = 0
     ops = 0
+    if peak is None:
+        peak = [0]
 
     def check_time():
         if deadline is not None and time.monotonic() > deadline:
@@ -154,6 +118,9 @@ def pq_workload(pq, n: int, seed: int, deadline: float | None = None) -> int:
         nonlocal ident, ops
         for _ in range(count):
             pq.insert(ident, rng.next() >> 16)
+            occ = pq.occupancy()
+            if occ > peak[0]:
+                peak[0] = occ
             ident += 1
             ops += 1
             if not ops & 1023:
@@ -172,7 +139,7 @@ def pq_workload(pq, n: int, seed: int, deadline: float | None = None) -> int:
     pop_batch(n // 2)
     insert_batch(n // 2)
     pop_batch(n)
-    if not pq.is_empty():
+    if pq.find_min() is not None:
         raise RuntimeError("workload must leave the heap empty: structural defect")
     return checksum
 
@@ -192,17 +159,17 @@ def run_pq_bench(
         walls, stats, peaks = [], [], []
         timed_out = False
         for rep in range(reps):
-            drv = _Driver(structure, cache_bytes, block_bytes)
-            drv.reset_stats()
+            heap = HEAPS[structure](cache_bytes, block_bytes)
+            peak = [0]
             deadline = time.monotonic() + timeout_secs if timeout_secs is not None else None
             t0 = time.perf_counter()
             try:
-                pq_workload(drv, n, seed + rep, deadline)
+                pq_workload(heap, n, seed + rep, deadline, peak)
             except BenchTimeout:
                 timed_out = True
             walls.append(time.perf_counter() - t0)
-            stats.append(drv.pq_stats())
-            peaks.append(drv.peak)
+            stats.append(io_stats(heap))
+            peaks.append(peak[0])
             if timed_out:
                 break
         k = len(stats)
@@ -227,13 +194,6 @@ def run_pq_bench(
     return records
 
 
-_SSSP_FN = {
-    "binary": _sssp.sssp_binary,
-    "funnel": _sssp.sssp_funnel,
-    "bucket": _sssp.sssp_bucket,
-}
-
-
 def run_sssp_bench(
     structure: str,
     graphs: list[tuple[int, Graph]],
@@ -249,7 +209,7 @@ def run_sssp_bench(
     graphs: (size-label, Graph) pairs. Distances are checked against the
     reference solver whenever V <= verify_cap; a mismatch aborts loudly.
     """
-    fn = _SSSP_FN[structure]
+    fn = SSSP[structure]
     records = []
     for size, g in graphs:
         walls, pq_list, graph_list, peaks = [], [], [], []
@@ -264,7 +224,7 @@ def run_sssp_bench(
             if timeout_secs is not None and walls[-1] > timeout_secs:
                 timed_out = True
             if g.vertex_count <= verify_cap:
-                want = _sssp.sssp_reference(g, source).dist
+                want = sssp_reference(g, source).dist
                 if res.dist != want:
                     bad = next(i for i in range(len(want)) if res.dist[i] != want[i])
                     raise RuntimeError(

@@ -10,7 +10,7 @@ Ordering is by (key, id): ties always break toward the smaller id.
 
 from __future__ import annotations
 
-from .emcore import BlockVector, EmConfig, DEFAULT_BLOCK_BYTES, DEFAULT_CACHE_BYTES
+from .emcore import U64, BlockVector, EmConfig, DEFAULT_BLOCK_BYTES, DEFAULT_CACHE_BYTES
 
 
 class BinaryHeap:
@@ -32,6 +32,9 @@ class BinaryHeap:
     def __len__(self) -> int:
         return self._n
 
+    def occupancy(self) -> int:
+        return self._n
+
     def vectors(self) -> dict[str, BlockVector]:
         return {"heap": self.heap, "positions": self.positions}
 
@@ -46,8 +49,8 @@ class BinaryHeap:
         self.positions.set1(ident, slot_plus1)
 
     def insert(self, ident: int, key: int) -> None:
-        if ident < 0 or key < 0:
-            raise ValueError("id and key must be non-negative")
+        if not (0 <= ident < U64 and 0 <= key < U64):
+            raise ValueError(f"id {ident} and key {key} must lie in [0, 2^64)")
         if self._pos_get(ident):
             raise ValueError(f"id {ident} is already live in the heap")
         i = self._n
@@ -56,9 +59,9 @@ class BinaryHeap:
         self._pos_set(ident, i + 1)
         self._sift_up(i, ident, key)
 
-    def find_min(self) -> tuple[int, int]:
+    def find_min(self) -> tuple[int, int] | None:
         if self._n == 0:
-            raise IndexError("find_min on empty heap")
+            return None
         return self.heap.get2(0)
 
     def delete_min(self) -> tuple[int, int]:
@@ -76,6 +79,8 @@ class BinaryHeap:
         return root
 
     def decrease_key(self, ident: int, new_key: int) -> None:
+        if not (0 <= ident < U64 and 0 <= new_key < U64):
+            raise ValueError(f"id {ident} and key {new_key} must lie in [0, 2^64)")
         p = self._pos_get(ident)
         if not p:
             raise KeyError(f"id {ident} not live in the heap")
@@ -138,20 +143,4 @@ class BinaryHeap:
             assert (pkey, pid) <= (ckey, cid), f"heap order broken at slot {i}"
         for i in range(self._n):
             ident, _ = self.heap.peek2(i)
-            assert self._peek_pos(ident) == i + 1, f"position of id {ident} wrong"
-
-    def _peek_pos(self, ident: int) -> int:
-        if ident >= len(self.positions):
-            return 0
-        rpb = self.positions.config.records_per_block
-        b = ident // rpb
-        data = (
-            self.positions._arena.get(b)
-            if self.positions._arena is not None
-            else self.positions._peek_file(b)
-        )
-        if data is None:
-            return 0
-        import struct
-
-        return struct.unpack_from("<Q", data, (ident - b * rpb) * 8)[0]
+            assert self.positions.peek1(ident) == i + 1, f"position of id {ident} wrong"

@@ -18,7 +18,7 @@ kills any stale deeper copy before it can surface.
 
 from __future__ import annotations
 
-from .emcore import BlockVector, EmConfig, DEFAULT_BLOCK_BYTES, DEFAULT_CACHE_BYTES
+from .emcore import U64, BlockVector, EmConfig, DEFAULT_BLOCK_BYTES, DEFAULT_CACHE_BYTES
 
 DELETE_KEY = (1 << 64) - 1  # signal-key sentinel marking a delete
 INF = (1 << 64) - 1  # splitter value meaning "accepts any key"
@@ -67,13 +67,15 @@ class BucketHeap:
     # -- public operations ----------------------------------------------------
 
     def update(self, ident: int, key: int) -> None:
-        if ident < 0:
-            raise ValueError("id must be non-negative")
-        if not 0 <= key < DELETE_KEY:
-            raise ValueError(f"key must be in [0, 2^64-2], got {key}")
+        if not (0 <= ident < U64 and 0 <= key < DELETE_KEY):
+            raise ValueError(f"id {ident} must lie in [0, 2^64) and key {key} in [0, 2^64-2]")
         self._signal(ident, key)
 
+    insert = update  # the shared heap surface: insert(id, key)
+
     def delete(self, ident: int) -> None:
+        if not 0 <= ident < U64:
+            raise ValueError(f"id {ident} must lie in [0, 2^64)")
         self._signal(ident, DELETE_KEY)
 
     def find_min(self) -> tuple[int, int] | None:

@@ -16,13 +16,11 @@ from .bench import (
 )
 from .emcore import MB
 from .graphs import GnpSpec, gen_gnp, parse_dimacs, write_dimacs
-from .sssp import sssp_binary, sssp_bucket, sssp_funnel, sssp_reference
-
-_SSSP = {"binary": sssp_binary, "funnel": sssp_funnel, "bucket": sssp_bucket}
+from .sssp import SSSP, sssp_reference
 
 
 def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--heap", choices=("binary", "funnel", "bucket"), required=True)
+    p.add_argument("--heap", choices=tuple(SSSP), required=True)
     p.add_argument("--cache-mb", type=float, default=16.0, help="per-structure cache size in MB")
     p.add_argument("--cache-bytes", type=int, default=None, help="overrides --cache-mb exactly")
     p.add_argument("--block-bytes", type=int, default=4096)
@@ -192,7 +190,7 @@ def main(argv: list[str] | None = None) -> int:
             g = gen_gnp(GnpSpec(n=args.gnp_n, weight_max=args.wmax, seed=args.seed))
         else:
             raise SystemExit("verify: need --gnp-n or --dimacs")
-        res = _SSSP[args.heap](
+        res = SSSP[args.heap](
             g, args.source, pq_cache_bytes=_cache_bytes(args), block_bytes=args.block_bytes
         )
         want = sssp_reference(g, args.source).dist

@@ -34,6 +34,7 @@ _pack_one = _ONE.pack_into
 _unpack_one = _ONE.unpack_from
 
 MB = 1024 * 1024
+U64 = 1 << 64  # record fields are unsigned 64-bit: ids and keys lie in [0, U64)
 DEFAULT_CACHE_BYTES = 16 * MB
 DEFAULT_BLOCK_BYTES = 4096
 
@@ -304,15 +305,25 @@ class BlockVector:
             data = self._materialize(b)
         _pack_one(data, (i - b * self._rpb) * 8, v)
 
+    def peek1(self, i: int) -> int:
+        """Stat-free read of an 8-byte record, for invariant checkers."""
+        b = i // self._rpb
+        data = self._peek_block(b)
+        if data is None:
+            return 0
+        return _unpack_one(data, (i - b * self._rpb) * 8)[0]
+
     def peek2(self, i: int) -> tuple[int, int]:
         """Stat-free read for invariant checkers; never faults, never counts."""
         b = i // self._rpb
-        data = self._arena.get(b) if self._arena is not None else self._peek_file(b)
+        data = self._peek_block(b)
         if data is None:
             return (0, 0)
         return _unpack_pair(data, (i - b * self._rpb) * 16)
 
-    def _peek_file(self, b: int):
+    def _peek_block(self, b: int) -> bytearray | None:
+        if self._arena is not None:
+            return self._arena.get(b)
         if b in self._fdata:
             return self._fdata[b]
         return self._read_file_block(b)

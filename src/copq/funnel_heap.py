@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from bisect import bisect_right
 
-from .emcore import BlockVector, EmConfig, DEFAULT_BLOCK_BYTES, DEFAULT_CACHE_BYTES
+from .emcore import U64, BlockVector, EmConfig, DEFAULT_BLOCK_BYTES, DEFAULT_CACHE_BYTES
 
 _INSERTION_CAP = 8  # s_1; also the insertion buffer capacity
 
@@ -287,12 +287,15 @@ class FunnelHeap:
     def __len__(self) -> int:
         return self._n
 
+    def occupancy(self) -> int:
+        return self._n
+
     def vectors(self) -> dict[str, BlockVector]:
         return {"funnel": self.vector}
 
     def insert(self, ident: int, key: int) -> None:
-        if ident < 0 or key < 0:
-            raise ValueError("id and key must be non-negative")
+        if not (0 <= ident < U64 and 0 <= key < U64):
+            raise ValueError(f"id {ident} and key {key} must lie in [0, 2^64)")
         I = self._I
         if I.count == I.cap:
             self._sweep()
@@ -308,9 +311,9 @@ class FunnelHeap:
         if self._n > self.peak_entries:
             self.peak_entries = self._n
 
-    def find_min(self) -> tuple[int, int]:
+    def find_min(self) -> tuple[int, int] | None:
         if self._n == 0:
-            raise IndexError("find_min on empty heap")
+            return None
         best, _ = self._min_source()
         return (best[1], best[0])
 

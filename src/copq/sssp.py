@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 
 from .binary_heap import BinaryHeap
 from .bucket_heap import BucketHeap
-from .emcore import EmConfig, IoStats, DEFAULT_BLOCK_BYTES, DEFAULT_CACHE_BYTES
+from .emcore import BlockVector, EmConfig, IoStats, DEFAULT_BLOCK_BYTES, DEFAULT_CACHE_BYTES
 from .funnel_heap import FunnelHeap
 from .graphs import ExternalGraph, Graph, load_csr
 
@@ -63,10 +63,22 @@ def sssp_reference(g: Graph, source: int) -> DistanceResult:
     return DistanceResult(dist, order)
 
 
-def _as_external(g, graph_cache_bytes: int, block_bytes: int) -> ExternalGraph:
-    if isinstance(g, ExternalGraph):
-        return g
-    return load_csr(g, EmConfig(graph_cache_bytes, block_bytes, 16))
+def _prepare(g, source: int, graph_cache_bytes: int, block_bytes: int) -> ExternalGraph:
+    """The graph as an ExternalGraph with zeroed counters, once the source is checked."""
+    eg = g if isinstance(g, ExternalGraph) else load_csr(g, EmConfig(graph_cache_bytes, block_bytes, 16))
+    if not 0 <= source < eg.vertex_count:
+        raise ValueError(f"source {source} out of range")
+    eg.vector.reset_stats()
+    return eg
+
+
+def _result(dist, order, eg: ExternalGraph, pq: dict[str, BlockVector], **counters) -> DistanceResult:
+    """Package a run. stats["pq"] sums the queue vectors and stats["pq_<name>"]
+    gives each one, when there is more than one; stats["graph"] is the graph's."""
+    stats = {"pq": sum((v.stats() for v in pq.values()), IoStats()), "graph": eg.vector.stats()}
+    if len(pq) > 1:
+        stats.update((f"pq_{name}", v.stats()) for name, v in pq.items())
+    return DistanceResult(dist, order, stats=stats, **counters)
 
 
 def sssp_binary(
@@ -76,11 +88,8 @@ def sssp_binary(
     graph_cache_bytes: int = DEFAULT_CACHE_BYTES,
     block_bytes: int = DEFAULT_BLOCK_BYTES,
 ) -> DistanceResult:
-    eg = _as_external(g, graph_cache_bytes, block_bytes)
+    eg = _prepare(g, source, graph_cache_bytes, block_bytes)
     n = eg.vertex_count
-    if not 0 <= source < n:
-        raise ValueError(f"source {source} out of range")
-    eg.vector.reset_stats()
     h = BinaryHeap(pq_cache_bytes, block_bytes)
     dist: list[int | None] = [None] * n
     order: list[int] = []
@@ -103,18 +112,7 @@ def sssp_binary(
                     peak = len(h)
             elif nk < cur:
                 h.decrease_key(t, nk)
-    pq = h.heap.stats() + h.positions.stats()
-    return DistanceResult(
-        dist,
-        order,
-        stats={
-            "pq": pq,
-            "pq_heap": h.heap.stats(),
-            "pq_positions": h.positions.stats(),
-            "graph": eg.vector.stats(),
-        },
-        peak_heap_entries=peak,
-    )
+    return _result(dist, order, eg, h.vectors(), peak_heap_entries=peak)
 
 
 def sssp_funnel(
@@ -124,11 +122,8 @@ def sssp_funnel(
     graph_cache_bytes: int = DEFAULT_CACHE_BYTES,
     block_bytes: int = DEFAULT_BLOCK_BYTES,
 ) -> DistanceResult:
-    eg = _as_external(g, graph_cache_bytes, block_bytes)
+    eg = _prepare(g, source, graph_cache_bytes, block_bytes)
     n = eg.vertex_count
-    if not 0 <= source < n:
-        raise ValueError(f"source {source} out of range")
-    eg.vector.reset_stats()
     h = FunnelHeap(pq_cache_bytes, block_bytes)
     visited = bytearray(n)  # internal memory only: zero simulated transfers
     dist: list[int | None] = [None] * n
@@ -148,13 +143,7 @@ def sssp_funnel(
             if not visited[t]:
                 h.insert(t, d + w)
                 inserts += 1
-    return DistanceResult(
-        dist,
-        order,
-        stats={"pq": h.vector.stats(), "graph": eg.vector.stats()},
-        peak_heap_entries=h.peak_entries,
-        heap_inserts=inserts,
-    )
+    return _result(dist, order, eg, h.vectors(), peak_heap_entries=h.peak_entries, heap_inserts=inserts)
 
 
 def sssp_bucket(
@@ -164,13 +153,10 @@ def sssp_bucket(
     graph_cache_bytes: int = DEFAULT_CACHE_BYTES,
     block_bytes: int = DEFAULT_BLOCK_BYTES,
 ) -> DistanceResult:
-    eg = _as_external(g, graph_cache_bytes, block_bytes)
-    n = eg.vertex_count
-    if not 0 <= source < n:
-        raise ValueError(f"source {source} out of range")
-    if not _symmetric(eg):
+    eg = _prepare(g, source, graph_cache_bytes, block_bytes)
+    if not eg.source.is_symmetric():
         raise ValueError("bucket-heap Dijkstra requires an undirected (symmetric) graph")
-    eg.vector.reset_stats()
+    n = eg.vertex_count
     main = BucketHeap(pq_cache_bytes, block_bytes)
     guard = BucketHeap(pq_cache_bytes, block_bytes)
     dist: list[int | None] = [None] * n
@@ -230,26 +216,15 @@ def sssp_bucket(
         occ = main.occupancy() + guard.occupancy()
         if occ > peak:
             peak = occ
-    pq = main.vector.stats() + guard.vector.stats()
-    return DistanceResult(
+    return _result(
         dist,
         order,
-        stats={
-            "pq": pq,
-            "pq_main": main.vector.stats(),
-            "pq_guard": guard.vector.stats(),
-            "graph": eg.vector.stats(),
-        },
+        eg,
+        {"main": main.vector, "guard": guard.vector},
         peak_heap_entries=peak,
         guard_deletes=guard_deletes,
         spurious_kills=spurious_kills,
     )
 
 
-def _symmetric(eg: ExternalGraph) -> bool:
-    g = eg.source
-    cached = getattr(g, "_symmetric_cache", None)
-    if cached is None:
-        cached = g.is_symmetric()
-        g._symmetric_cache = cached
-    return cached
+SSSP = {"binary": sssp_binary, "funnel": sssp_funnel, "bucket": sssp_bucket}

@@ -13,7 +13,7 @@ import time
 
 import pytest
 
-from copq.bench import _Driver, pq_workload
+from copq.bench import HEAPS, io_stats, pq_workload
 from copq.binary_heap import BinaryHeap
 from copq.bucket_heap import BucketHeap
 from copq.emcore import BlockVector, EmConfig, MB
@@ -215,10 +215,9 @@ def test_criterion_3_lru_exactness():
 
 
 def _workload_transfers(structure, n, cache_bytes, block_bytes=4096, seed=3):
-    drv = _Driver(structure, cache_bytes, block_bytes)
-    drv.reset_stats()
-    pq_workload(drv, n, seed=seed)
-    return drv.pq_stats().transfers
+    heap = HEAPS[structure](cache_bytes, block_bytes)
+    pq_workload(heap, n, seed=seed)
+    return io_stats(heap).transfers
 
 
 def test_criterion_4_swapping_regime_ordering():

@@ -6,8 +6,8 @@ import pytest
 
 from copq.bench import (
     CSV_HEADER,
+    HEAPS,
     BenchRecord,
-    _Driver,
     mem_sweep,
     pq_workload,
     run_pq_bench,
@@ -34,32 +34,35 @@ class _OraclePq:
     def delete_min(self):
         return self.h.delete_min()
 
-    def is_empty(self):
-        return len(self.h) == 0
+    def find_min(self):
+        return self.h.find_min()
+
+    def occupancy(self):
+        return len(self.h)
 
 
 class TestWorkload:
     def test_n1_floor_semantics(self):
-        drv = _Driver("binary", 1 * MB, 4096)
-        pq_workload(drv, 1, seed=0)  # insert 1, pop 0, insert 0, pop 1
-        assert drv.is_empty()
+        heap = HEAPS["binary"](1 * MB, 4096)
+        pq_workload(heap, 1, seed=0)  # insert 1, pop 0, insert 0, pop 1
+        assert heap.find_min() is None
 
     def test_checksum_equal_across_heaps_and_oracle(self):
         want = pq_workload(_OraclePq(), 8, seed=5)
         for structure in ("binary", "funnel", "bucket"):
-            drv = _Driver(structure, 1 * MB, 4096)
-            assert pq_workload(drv, 8, seed=5) == want, structure
+            heap = HEAPS[structure](1 * MB, 4096)
+            assert pq_workload(heap, 8, seed=5) == want, structure
 
     @pytest.mark.parametrize("structure", ["binary", "funnel", "bucket"])
     def test_checksum_matches_oracle_at_2_12(self, structure):
         want = pq_workload(_OraclePq(), 1 << 12, seed=9)
-        drv = _Driver(structure, 1 * MB, 4096)
-        assert pq_workload(drv, 1 << 12, seed=9) == want
+        heap = HEAPS[structure](1 * MB, 4096)
+        assert pq_workload(heap, 1 << 12, seed=9) == want
 
     def test_heap_left_empty(self):
-        drv = _Driver("funnel", 1 * MB, 4096)
-        pq_workload(drv, 100, seed=1)
-        assert drv.is_empty()
+        heap = HEAPS["funnel"](1 * MB, 4096)
+        pq_workload(heap, 100, seed=1)
+        assert heap.find_min() is None
 
 
 class TestRunners:
