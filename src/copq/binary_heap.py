@@ -95,6 +95,8 @@ class BinaryHeap:
 
     def current_key(self, ident: int) -> int | None:
         """Key of a live id, or None. Costs the position + heap reads."""
+        if not 0 <= ident < U64:
+            raise ValueError(f"id {ident} must lie in [0, 2^64)")
         p = self._pos_get(ident)
         if not p:
             return None

@@ -6,10 +6,13 @@ blocks under exact LRU replacement, and every block moved between the
 cache and the backing store is counted. Counters stand in for wall-clock
 I/O wait: identical operation sequences always produce identical counts.
 
-Backing store is an in-memory arena by default (blocks materialise lazily,
-untouched blocks read as zeros). Passing a path gives a file-backed vector:
-resident blocks hold real bytes, faults read from the file, evictions and
-flushes write back. The on-disk format is a raw little-endian block dump
+Block bytes live in one table, block id -> bytearray, and a block gets its
+bytes at its first fault. By default the vector is memory-backed: the table
+keeps every block touched so far, a first fault creates a zeroed block, and
+never-touched blocks read as zeros. Passing a path gives a file-backed
+vector: the table keeps only the resident blocks, a fault reads the block
+from the file, and evictions and flushes write dirty blocks back. Both modes
+count identically. The on-disk format is a raw little-endian block dump
 (block k at byte offset k*block_bytes, final partial block zero-padded)
 plus a sidecar header ``<path>.meta`` containing one line::
 
@@ -112,9 +115,8 @@ class BlockVector:
         "_bb",
         "_frames",
         "_length",
-        "_arena",
+        "_blocks",
         "_resident",
-        "_fdata",
         "_file",
         "_path",
         "_last_block",
@@ -131,21 +133,17 @@ class BlockVector:
         self._bb = config.block_bytes
         self._frames = config.frame_count
         self._length = 0
+        # block id -> bytes: every touched block in memory mode, the resident
+        # ones in file mode
+        self._blocks: dict[int, bytearray] = {}
         self._resident: dict[int, bool] = {}  # block id -> dirty, insertion order = LRU order
-        self._last_block = -1
-        self._last_data: bytearray | None = None
+        self._last_block = -1  # forces the first access through _switch
+        self._last_data = bytearray()
         self.reads = 0
         self.writes = 0
         self.evictions = 0
         self._path = path
-        if path is None:
-            self._arena: dict[int, bytearray] | None = {}  # lazily materialised blocks
-            self._fdata = None
-            self._file = None
-        else:
-            self._arena = None
-            self._fdata: dict[int, bytearray] | None = {}  # resident block id -> frame bytes
-            self._file = open(path, "r+b" if os.path.exists(path) else "w+b")
+        self._file = None if path is None else open(path, "r+b" if os.path.exists(path) else "w+b")
 
     @classmethod
     def open_file(cls, path: str, cache_bytes: int = DEFAULT_CACHE_BYTES) -> "BlockVector":
@@ -168,32 +166,33 @@ class BlockVector:
         """Make block b the most recently used one, faulting it in if needed,
         and point the fast-path cache (_last_block/_last_data) at it."""
         res = self._resident
+        blocks = self._blocks
         d = res.pop(b, None)
         if d is None:
             self.reads += 1
-            if self._fdata is not None:
-                self._fdata[b] = self._read_file_block(b)
+            victim = -1
             if len(res) >= self._frames:
                 victim = next(iter(res))
                 vdirty = res.pop(victim)
                 self.evictions += 1
                 if vdirty:
                     self.writes += 1
-                    if self._fdata is not None:
-                        self._write_file_block(victim, self._fdata[victim])
-                if self._fdata is not None:
-                    del self._fdata[victim]
+            if self._file is not None:
+                if victim >= 0:
+                    vdata = blocks.pop(victim)
+                    if vdirty:
+                        self._write_file_block(victim, vdata)
+                data = blocks[b] = self._read_file_block(b)
+            else:
+                data = blocks.get(b)
+                if data is None:
+                    data = blocks[b] = bytearray(self._bb)
             res[b] = dirty
         else:
             res[b] = d or dirty
+            data = blocks[b]
         self._last_block = b
-        self._last_data = self._arena.get(b) if self._arena is not None else self._fdata[b]
-
-    def _materialize(self, b: int) -> bytearray:
-        buf = bytearray(self._bb)
-        self._arena[b] = buf
-        self._last_data = buf
-        return buf
+        self._last_data = data
 
     def _read_file_block(self, b: int) -> bytearray:
         self._file.seek(b * self._bb)
@@ -215,11 +214,8 @@ class BlockVector:
         b = i // self._rpb
         if b != self._last_block:
             self._switch(b, False)
-        data = self._last_data
-        if data is None:
-            return bytes(rb)
         off = (i - b * self._rpb) * rb
-        return bytes(data[off : off + rb])
+        return bytes(self._last_data[off : off + rb])
 
     def set(self, i: int, record: bytes) -> None:
         if not 0 <= i < self._length:
@@ -232,11 +228,8 @@ class BlockVector:
             self._switch(b, True)
         else:
             self._resident[b] = True
-        data = self._last_data
-        if data is None:
-            data = self._materialize(b)
         off = (i - b * self._rpb) * rb
-        data[off : off + rb] = record
+        self._last_data[off : off + rb] = record
 
     def push(self, record: bytes) -> None:
         self._length += 1
@@ -253,10 +246,7 @@ class BlockVector:
         b = i // self._rpb
         if b != self._last_block:
             self._switch(b, False)
-        data = self._last_data
-        if data is None:
-            return (0, 0)
-        return _unpack_pair(data, (i - b * self._rpb) * 16)
+        return _unpack_pair(self._last_data, (i - b * self._rpb) * 16)
 
     def set2(self, i: int, a: int, k: int) -> None:
         if self._rb != 16:
@@ -268,10 +258,7 @@ class BlockVector:
             self._switch(b, True)
         else:
             self._resident[b] = True
-        data = self._last_data
-        if data is None:
-            data = self._materialize(b)
-        _pack_pair(data, (i - b * self._rpb) * 16, a, k)
+        _pack_pair(self._last_data, (i - b * self._rpb) * 16, a, k)
 
     def push2(self, a: int, k: int) -> None:
         self._length += 1
@@ -285,10 +272,7 @@ class BlockVector:
         b = i // self._rpb
         if b != self._last_block:
             self._switch(b, False)
-        data = self._last_data
-        if data is None:
-            return 0
-        return _unpack_one(data, (i - b * self._rpb) * 8)[0]
+        return _unpack_one(self._last_data, (i - b * self._rpb) * 8)[0]
 
     def set1(self, i: int, v: int) -> None:
         if self._rb != 8:
@@ -300,33 +284,25 @@ class BlockVector:
             self._switch(b, True)
         else:
             self._resident[b] = True
-        data = self._last_data
-        if data is None:
-            data = self._materialize(b)
-        _pack_one(data, (i - b * self._rpb) * 8, v)
+        _pack_one(self._last_data, (i - b * self._rpb) * 8, v)
 
     def peek1(self, i: int) -> int:
         """Stat-free read of an 8-byte record, for invariant checkers."""
         b = i // self._rpb
-        data = self._peek_block(b)
-        if data is None:
-            return 0
-        return _unpack_one(data, (i - b * self._rpb) * 8)[0]
+        return _unpack_one(self._peek_block(b), (i - b * self._rpb) * 8)[0]
 
     def peek2(self, i: int) -> tuple[int, int]:
         """Stat-free read for invariant checkers; never faults, never counts."""
         b = i // self._rpb
-        data = self._peek_block(b)
-        if data is None:
-            return (0, 0)
-        return _unpack_pair(data, (i - b * self._rpb) * 16)
+        return _unpack_pair(self._peek_block(b), (i - b * self._rpb) * 16)
 
-    def _peek_block(self, b: int) -> bytearray | None:
-        if self._arena is not None:
-            return self._arena.get(b)
-        if b in self._fdata:
-            return self._fdata[b]
-        return self._read_file_block(b)
+    def _peek_block(self, b: int) -> bytes:
+        data = self._blocks.get(b)
+        if data is not None:
+            return data
+        if self._file is not None:
+            return self._read_file_block(b)
+        return bytes(self._bb)
 
     # -- length management --------------------------------------------------------
 
@@ -347,22 +323,19 @@ class BlockVector:
         self._length = n
         if old == 0 or old == n:
             return
-        # zero the dropped region so extend-after-truncate exposes zeros
+        # zero the dropped region so extend-after-truncate exposes zeros; in
+        # file mode the file copy too, since a clean resident block is evicted
+        # without a write-back
         b0, b1 = n // self._rpb, (old - 1) // self._rpb
         for b in range(b0, b1 + 1):
             lo = (n - b * self._rpb) * self._rb if b == b0 else 0
-            if self._arena is not None:
-                buf = self._arena.get(b)
-                if buf is not None:
-                    buf[lo:] = bytes(self._bb - lo)
-            else:
-                buf = self._fdata.get(b)
-                if buf is not None:
-                    buf[lo:] = bytes(self._bb - lo)
-                elif self._file_has_block(b):
-                    data = self._read_file_block(b)
-                    data[lo:] = bytes(self._bb - lo)
-                    self._write_file_block(b, data)
+            buf = self._blocks.get(b)
+            if buf is not None:
+                buf[lo:] = bytes(self._bb - lo)
+            if self._file is not None and self._file_has_block(b):
+                data = self._read_file_block(b)
+                data[lo:] = bytes(self._bb - lo)
+                self._write_file_block(b, data)
 
     def _file_has_block(self, b: int) -> bool:
         self._file.seek(0, os.SEEK_END)
@@ -375,8 +348,8 @@ class BlockVector:
         for b, dirty in self._resident.items():
             if dirty:
                 self.writes += 1
-                if self._fdata is not None:
-                    self._write_file_block(b, self._fdata[b])
+                if self._file is not None:
+                    self._write_file_block(b, self._blocks[b])
                 self._resident[b] = False
         if self._file is not None:
             self._pad_final_block()
@@ -399,20 +372,20 @@ class BlockVector:
             f.write(f"emvec v1 {self._rb} {self._bb} {self._length}\n")
 
     def close(self) -> None:
-        if self._file is not None:
+        # the closed file stays in _file, so a later fault raises instead of
+        # reading as a memory-mode zero block
+        if self._file is not None and not self._file.closed:
             self.flush()
             self._file.close()
-            self._file = None
 
     def drop_cache(self) -> None:
         """Flush (counting the write-backs) and empty the cache: next accesses
         start cold. Mainly for tests that need a cold-scan baseline."""
         self.flush()
         self._resident.clear()
-        if self._fdata is not None:
-            self._fdata.clear()
+        if self._file is not None:
+            self._blocks.clear()
         self._last_block = -1
-        self._last_data = None
 
     def stats(self) -> IoStats:
         return IoStats(self.reads, self.writes, self.evictions)
@@ -421,6 +394,3 @@ class BlockVector:
         self.reads = 0
         self.writes = 0
         self.evictions = 0
-
-    def resident_blocks(self) -> int:
-        return len(self._resident)

@@ -104,14 +104,6 @@ class _Ring:
         ident, key = vec.get2(self.start + self.head)
         return (key, ident)
 
-    def pop(self, vec: BlockVector) -> tuple[int, int]:
-        ident, key = vec.get2(self.start + self.head)
-        self.head += 1
-        if self.head == self.cap:
-            self.head = 0
-        self.count -= 1
-        return (key, ident)
-
     def advance(self) -> None:
         """Drop the head record (caller already holds its value from peek)."""
         self.head += 1
@@ -253,18 +245,15 @@ def _build_kmerger(alloc: _Alloc, k: int, inputs: list[_Stream], out: _Ring, int
 
 
 class _Link:
-    __slots__ = ("num", "s", "k", "A", "B", "leaves", "c", "internals", "kroot", "v")
+    __slots__ = ("k", "A", "B", "leaves", "c", "internals", "v")
 
-    def __init__(self, num, s, k, A, B, leaves, internals, kroot, v):
-        self.num = num
-        self.s = s
+    def __init__(self, k, A, B, leaves, internals, v):
         self.k = k
         self.A = A
         self.B = B
         self.leaves = leaves
         self.c = 0  # leaves [0, c) are in use or exhausted
         self.internals = internals
-        self.kroot = kroot
         self.v = v
 
 
@@ -361,7 +350,7 @@ class FunnelHeap:
         internals: list[_Ring] = []
         kroot = _build_kmerger(ialloc, k, [_Stream(lf, None) for lf in leaves], B, internals)
         v = _Merger(A, _Stream(B, kroot), _EMPTY_STREAM, batch=s)
-        link = _Link(num, s, k, A, B, leaves, internals, kroot, v)
+        link = _Link(k, A, B, leaves, internals, v)
         if self._links:
             self._links[-1].v.right = _Stream(A, v)
         self._links.append(link)

@@ -157,6 +157,7 @@ class TestArrayOracle:
                 oracle.append((a, k))
             elif op < 0.65:
                 i = rng.randrange(len(oracle))
+                assert v.peek2(i) == oracle[i]  # first, while the block may be out of cache
                 assert v.get2(i) == oracle[i]
             elif op < 0.85:
                 i = rng.randrange(len(oracle))
@@ -175,11 +176,23 @@ class TestArrayOracle:
         for i, want in enumerate(oracle):
             assert v.get2(i) == want
 
-    @pytest.mark.parametrize("seed", range(5))
-    def test_random_traces_match_plain_array(self, seed):
-        rng = random.Random(seed)
-        v = make(cache=4 * 4096, block=4096, rec=16)  # tiny cache: heavy eviction
-        self.run_trace(v, rng, 4000)
+    @pytest.mark.parametrize(
+        "seed,backing",
+        [pytest.param(s, "memory", id=str(s)) for s in range(5)]
+        + [pytest.param(s, "file", id=f"{s}-file") for s in range(5)],
+    )
+    def test_random_traces_match_plain_array(self, seed, backing, tmp_path):
+        def run(path=None):
+            # four records a block, four frames: the trace keeps about 10-40
+            # records, so it evicts a few hundred times
+            v = make(cache=4 * 64, block=64, rec=16, path=path)
+            self.run_trace(v, random.Random(seed), 4000)
+            return v
+
+        v = run(str(tmp_path / "v.bin") if backing == "file" else None)
+        if backing == "file":
+            assert v.stats() == run().stats()  # counters do not depend on the backing
+            v.close()
 
     @given(st.integers(0, 2**32))
     @settings(max_examples=25, deadline=None)

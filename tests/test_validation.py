@@ -14,11 +14,14 @@ from oracles import MinMapPQ
 
 BAD = [-1, -(1 << 70), U64, U64 + 12345]  # outside [0, 2^64)
 
-# (op selector, id, key, bad value); small ids force repeats, small blocks force faults
-trace = st.lists(
-    st.tuples(st.integers(0, 5), st.integers(0, 40), st.integers(0, 1000), st.sampled_from(BAD)),
-    max_size=200,
-)
+
+def trace(nops):
+    """(op selector in [0, nops), id, key, bad value) lists; small ids force
+    repeats, small blocks force faults."""
+    return st.lists(
+        st.tuples(st.integers(0, nops - 1), st.integers(0, 40), st.integers(0, 1000), st.sampled_from(BAD)),
+        max_size=200,
+    )
 
 
 def rejected(call, *args):
@@ -30,7 +33,7 @@ def binary_contents(h):
     return dict(h.heap.peek2(slot) for slot in range(len(h)))
 
 
-@given(trace)
+@given(trace(7))
 @settings(max_examples=60, deadline=None)
 def test_binary_heap_rejects_without_change(ops):
     h = BinaryHeap(cache_bytes=4 * 256, block_bytes=256)
@@ -53,6 +56,7 @@ def test_binary_heap_rejects_without_change(ops):
             (h.insert, ident, bad),
             (h.decrease_key, bad, key),
             (h.decrease_key, ident, bad),
+            (h.current_key, bad),
         ]
         rejected(*invalid[op - 2])
         h.check_invariants()
@@ -62,7 +66,7 @@ def test_binary_heap_rejects_without_change(ops):
     assert h.find_min() is None
 
 
-@given(trace)
+@given(trace(6))
 @settings(max_examples=60, deadline=None)
 def test_funnel_heap_rejects_without_change(ops):
     h = FunnelHeap(cache_bytes=4 * 256, block_bytes=256)
@@ -85,7 +89,7 @@ def test_funnel_heap_rejects_without_change(ops):
     assert h.find_min() is None
 
 
-@given(trace)
+@given(trace(6))
 @settings(max_examples=60, deadline=None)
 def test_bucket_heap_rejects_without_change(ops):
     h = BucketHeap(cache_bytes=4 * 256, block_bytes=256)
