@@ -23,8 +23,6 @@ CSV_HEADER = (
     "pq_reads,pq_writes,graph_reads,graph_writes,peak_heap_entries"
 )
 
-STRUCTURES = tuple(SSSP)
-
 # first columns of the published experiment grids
 PQ_SIZES = [1 << e for e in range(16, 26)]
 SSSP_RANDOM_SIZES = [65536, 131072, 262144, 524288, 750000, 1048576]

@@ -35,13 +35,13 @@ def signal_capacity(level: int) -> int:
 class _Level:
     __slots__ = ("num", "bstart", "bcap", "bhead", "bcount", "sstart", "sroom", "scount", "splitter")
 
-    def __init__(self, num: int, bstart: int, sstart: int):
+    def __init__(self, num: int, bstart: int):
         self.num = num
         self.bstart = bstart
         self.bcap = bucket_capacity(num)
         self.bhead = 0  # bucket content is sorted ascending in [bstart+bhead, +bcount)
         self.bcount = 0
-        self.sstart = sstart
+        self.sstart = bstart + self.bcap  # the signal buffer follows the bucket
         self.sroom = 2 * signal_capacity(num) + 8
         self.scount = 0
         self.splitter = INF
@@ -119,15 +119,10 @@ class BucketHeap:
         if top.scount > signal_capacity(1):
             self._flush(0)
 
-    def _add_level(self) -> _Level:
-        num = len(self._levels) + 1
-        bstart = len(self.vector)
-        self.vector.extend(bucket_capacity(num))
-        sstart = len(self.vector)
-        self.vector.extend(2 * signal_capacity(num) + 8)
-        lv = _Level(num, bstart, sstart)
+    def _add_level(self) -> None:
+        lv = _Level(len(self._levels) + 1, len(self.vector))
+        self.vector.extend(lv.bcap + lv.sroom)
         self._levels.append(lv)
-        return lv
 
     def _flush(self, li: int) -> None:
         """Apply every pending signal of level li to its bucket, forwarding

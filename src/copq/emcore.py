@@ -6,17 +6,10 @@ blocks under exact LRU replacement, and every block moved between the
 cache and the backing store is counted. Counters stand in for wall-clock
 I/O wait: identical operation sequences always produce identical counts.
 
-Block bytes live in one table, block id -> bytearray, and a block gets its
-bytes at its first fault. By default the vector is memory-backed: the table
-keeps every block touched so far, a first fault creates a zeroed block, and
-never-touched blocks read as zeros. Passing a path gives a file-backed
-vector: the table keeps only the resident blocks, a fault reads the block
-from the file, and evictions and flushes write dirty blocks back. Both modes
-count identically. The on-disk format is a raw little-endian block dump
-(block k at byte offset k*block_bytes, final partial block zero-padded)
-plus a sidecar header ``<path>.meta`` containing one line::
-
-    emvec v1 <record_bytes> <block_bytes> <length>
+Block bytes live in memory, in one table from block id to bytearray. A block
+gets zeroed bytes at its first touch, read or write, and gives them up when
+``truncate`` drops it, so untouched and dropped records read as zeros. Which
+blocks hold bytes decides no count: the counters follow the LRU cache alone.
 
 The record accessors are written for throughput: the LRU bump is inlined
 and repeated touches of the same block skip the bookkeeping entirely (a
@@ -25,7 +18,6 @@ repeated touch cannot change LRU order or fault counts).
 
 from __future__ import annotations
 
-import os
 import struct
 from dataclasses import dataclass
 
@@ -73,7 +65,7 @@ class EmConfig:
 
 @dataclass
 class IoStats:
-    """Monotone transfer counters for one vector (or a snapshot delta)."""
+    """Monotone transfer counters for one vector."""
 
     block_reads: int = 0
     block_writes: int = 0
@@ -82,13 +74,6 @@ class IoStats:
     @property
     def transfers(self) -> int:
         return self.block_reads + self.block_writes
-
-    def __sub__(self, other: "IoStats") -> "IoStats":
-        return IoStats(
-            self.block_reads - other.block_reads,
-            self.block_writes - other.block_writes,
-            self.evictions - other.evictions,
-        )
 
     def __add__(self, other: "IoStats") -> "IoStats":
         return IoStats(
@@ -103,7 +88,7 @@ class BlockVector:
 
     Records never straddle blocks: each block holds exactly
     ``records_per_block`` records, the remainder of the block is padding.
-    Every get/set/push touches exactly one block; touching a non-resident
+    Every record access touches exactly one block; touching a non-resident
     block costs one block read, and evicting a dirty block costs one block
     write. Logical growth (``extend``) and ``truncate`` cost nothing.
     """
@@ -117,8 +102,6 @@ class BlockVector:
         "_length",
         "_blocks",
         "_resident",
-        "_file",
-        "_path",
         "_last_block",
         "_last_data",
         "reads",
@@ -126,36 +109,20 @@ class BlockVector:
         "evictions",
     )
 
-    def __init__(self, config: EmConfig, path: str | None = None):
+    def __init__(self, config: EmConfig):
         self.config = config
         self._rpb = config.records_per_block
         self._rb = config.record_bytes
         self._bb = config.block_bytes
         self._frames = config.frame_count
         self._length = 0
-        # block id -> bytes: every touched block in memory mode, the resident
-        # ones in file mode
-        self._blocks: dict[int, bytearray] = {}
+        self._blocks: dict[int, bytearray] = {}  # block id -> bytes, touched and not dropped
         self._resident: dict[int, bool] = {}  # block id -> dirty, insertion order = LRU order
         self._last_block = -1  # forces the first access through _switch
         self._last_data = bytearray()
         self.reads = 0
         self.writes = 0
         self.evictions = 0
-        self._path = path
-        self._file = None if path is None else open(path, "r+b" if os.path.exists(path) else "w+b")
-
-    @classmethod
-    def open_file(cls, path: str, cache_bytes: int = DEFAULT_CACHE_BYTES) -> "BlockVector":
-        """Reopen a file-backed vector from its data file and .meta sidecar."""
-        with open(path + ".meta", "r", encoding="ascii") as f:
-            fields = f.readline().split()
-        if len(fields) != 5 or fields[0] != "emvec" or fields[1] != "v1":
-            raise ValueError(f"bad emvec header in {path}.meta")
-        record_bytes, block_bytes, length = int(fields[2]), int(fields[3]), int(fields[4])
-        v = cls(EmConfig(cache_bytes, block_bytes, record_bytes), path=path)
-        v._length = length
-        return v
 
     def __len__(self) -> int:
         return self._length
@@ -166,44 +133,22 @@ class BlockVector:
         """Make block b the most recently used one, faulting it in if needed,
         and point the fast-path cache (_last_block/_last_data) at it."""
         res = self._resident
-        blocks = self._blocks
         d = res.pop(b, None)
         if d is None:
             self.reads += 1
-            victim = -1
             if len(res) >= self._frames:
-                victim = next(iter(res))
-                vdirty = res.pop(victim)
                 self.evictions += 1
-                if vdirty:
+                if res.pop(next(iter(res))):
                     self.writes += 1
-            if self._file is not None:
-                if victim >= 0:
-                    vdata = blocks.pop(victim)
-                    if vdirty:
-                        self._write_file_block(victim, vdata)
-                data = blocks[b] = self._read_file_block(b)
-            else:
-                data = blocks.get(b)
-                if data is None:
-                    data = blocks[b] = bytearray(self._bb)
             res[b] = dirty
         else:
             res[b] = d or dirty
-            data = blocks[b]
+        # first touch, or a resident block that truncate dropped: zeroed bytes
+        data = self._blocks.get(b)
+        if data is None:
+            data = self._blocks[b] = bytearray(self._bb)
         self._last_block = b
         self._last_data = data
-
-    def _read_file_block(self, b: int) -> bytearray:
-        self._file.seek(b * self._bb)
-        data = bytearray(self._file.read(self._bb))
-        if len(data) < self._bb:
-            data.extend(bytes(self._bb - len(data)))
-        return data
-
-    def _write_file_block(self, b: int, data: bytes) -> None:
-        self._file.seek(b * self._bb)
-        self._file.write(data)
 
     # -- record access ----------------------------------------------------------
 
@@ -230,10 +175,6 @@ class BlockVector:
             self._resident[b] = True
         off = (i - b * self._rpb) * rb
         self._last_data[off : off + rb] = record
-
-    def push(self, record: bytes) -> None:
-        self._length += 1
-        self.set(self._length - 1, record)
 
     # Typed accessors for the two record shapes the library itself uses.
     # They skip the bytes round trip; accounting is identical to get/set.
@@ -289,20 +230,12 @@ class BlockVector:
     def peek1(self, i: int) -> int:
         """Stat-free read of an 8-byte record, for invariant checkers."""
         b = i // self._rpb
-        return _unpack_one(self._peek_block(b), (i - b * self._rpb) * 8)[0]
+        return _unpack_one(self._blocks.get(b) or bytes(self._bb), (i - b * self._rpb) * 8)[0]
 
     def peek2(self, i: int) -> tuple[int, int]:
         """Stat-free read for invariant checkers; never faults, never counts."""
         b = i // self._rpb
-        return _unpack_pair(self._peek_block(b), (i - b * self._rpb) * 16)
-
-    def _peek_block(self, b: int) -> bytes:
-        data = self._blocks.get(b)
-        if data is not None:
-            return data
-        if self._file is not None:
-            return self._read_file_block(b)
-        return bytes(self._bb)
+        return _unpack_pair(self._blocks.get(b) or bytes(self._bb), (i - b * self._rpb) * 16)
 
     # -- length management --------------------------------------------------------
 
@@ -313,78 +246,46 @@ class BlockVector:
         self._length += n
 
     def truncate(self, n: int) -> None:
-        """Shrink logical length to n records without I/O. Dropped tail reads as zero
-        if the vector is later re-extended."""
+        """Shrink logical length to n records without I/O. A wholly dropped block
+        gives up its bytes and the dropped tail of a partial block is zeroed, so
+        the dropped records read as zero if the vector is later re-extended."""
         if n > self._length:
             raise ValueError(f"cannot truncate to {n}: length is {self._length}")
         if n < 0:
             raise ValueError("truncate length must be non-negative")
         old = self._length
         self._length = n
-        if old == 0 or old == n:
+        if old == n:
             return
-        # zero the dropped region so extend-after-truncate exposes zeros; in
-        # file mode the file copy too, since a clean resident block is evicted
-        # without a write-back
-        b0, b1 = n // self._rpb, (old - 1) // self._rpb
-        for b in range(b0, b1 + 1):
-            lo = (n - b * self._rpb) * self._rb if b == b0 else 0
-            buf = self._blocks.get(b)
-            if buf is not None:
-                buf[lo:] = bytes(self._bb - lo)
-            if self._file is not None and self._file_has_block(b):
-                data = self._read_file_block(b)
-                data[lo:] = bytes(self._bb - lo)
-                self._write_file_block(b, data)
+        b, lo = divmod(n, self._rpb)
+        if lo:
+            data = self._blocks.get(b)
+            if data is not None:
+                off = lo * self._rb
+                data[off:] = bytes(self._bb - off)
+            b += 1
+        for d in range(b, (old - 1) // self._rpb + 1):
+            self._blocks.pop(d, None)
+        # the dropped blocks keep their LRU slot and dirty flag, so counts do
+        # not change; only the fast path must stop pointing at their bytes
+        if self._last_block >= b:
+            self._last_block = -1
+            self._last_data = bytearray()
 
-    def _file_has_block(self, b: int) -> bool:
-        self._file.seek(0, os.SEEK_END)
-        return self._file.tell() > b * self._bb
-
-    # -- persistence / counters -----------------------------------------------------
+    # -- counters ---------------------------------------------------------------------
 
     def flush(self) -> None:
         """Write every dirty resident block back (one write each); blocks stay resident."""
         for b, dirty in self._resident.items():
             if dirty:
                 self.writes += 1
-                if self._file is not None:
-                    self._write_file_block(b, self._blocks[b])
                 self._resident[b] = False
-        if self._file is not None:
-            self._pad_final_block()
-            self._write_meta()
-            self._file.flush()
-
-    def _pad_final_block(self) -> None:
-        # zero-pad the file out to a whole number of blocks
-        if self._length == 0:
-            return
-        nblocks = (self._length + self._rpb - 1) // self._rpb
-        want = nblocks * self._bb
-        self._file.seek(0, os.SEEK_END)
-        have = self._file.tell()
-        if have < want:
-            self._file.write(bytes(want - have))
-
-    def _write_meta(self) -> None:
-        with open(self._path + ".meta", "w", encoding="ascii") as f:
-            f.write(f"emvec v1 {self._rb} {self._bb} {self._length}\n")
-
-    def close(self) -> None:
-        # the closed file stays in _file, so a later fault raises instead of
-        # reading as a memory-mode zero block
-        if self._file is not None and not self._file.closed:
-            self.flush()
-            self._file.close()
 
     def drop_cache(self) -> None:
         """Flush (counting the write-backs) and empty the cache: next accesses
         start cold. Mainly for tests that need a cold-scan baseline."""
         self.flush()
         self._resident.clear()
-        if self._file is not None:
-            self._blocks.clear()
         self._last_block = -1
 
     def stats(self) -> IoStats:

@@ -1,15 +1,16 @@
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from copq.emcore import BlockVector, EmConfig, MB
+from copq.emcore import BlockVector, EmConfig, IoStats, MB
 
 from oracles import RefLru
 
 
-def make(cache=16 * MB, block=4096, rec=16, path=None):
-    return BlockVector(EmConfig(cache, block, rec), path=path)
+def make(cache=16 * MB, block=4096, rec=16):
+    return BlockVector(EmConfig(cache, block, rec))
 
 
 class TestConfig:
@@ -145,6 +146,26 @@ class TestBasicSemantics:
         v.extend(10)
         assert v.get2(7) == (0, 0)
 
+    def test_truncate_frees_dropped_blocks(self):
+        # 64 dirty blocks against 8 frames, all dropped, then read back
+        nblocks = 64
+        tracemalloc.start()
+        try:
+            v = make(cache=8 * 4096)
+            for i in range(nblocks * 256):
+                v.push2(i, i + 1)
+            held = tracemalloc.get_traced_memory()[0]
+            v.truncate(0)
+            freed = held - tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert freed >= nblocks * 4096  # the bytes of every block
+        v.extend(nblocks * 256)
+        assert all(v.get2(i) == (0, 0) for i in range(nblocks * 256))
+        # the counts of a vector that kept the dropped blocks' bytes: dropping
+        # them moves no block in or out of the cache
+        assert v.stats() == IoStats(block_reads=128, block_writes=64, evictions=120)
+
 
 class TestArrayOracle:
     def run_trace(self, v, rng, steps):
@@ -176,23 +197,12 @@ class TestArrayOracle:
         for i, want in enumerate(oracle):
             assert v.get2(i) == want
 
-    @pytest.mark.parametrize(
-        "seed,backing",
-        [pytest.param(s, "memory", id=str(s)) for s in range(5)]
-        + [pytest.param(s, "file", id=f"{s}-file") for s in range(5)],
-    )
-    def test_random_traces_match_plain_array(self, seed, backing, tmp_path):
-        def run(path=None):
-            # four records a block, four frames: the trace keeps about 10-40
-            # records, so it evicts a few hundred times
-            v = make(cache=4 * 64, block=64, rec=16, path=path)
-            self.run_trace(v, random.Random(seed), 4000)
-            return v
-
-        v = run(str(tmp_path / "v.bin") if backing == "file" else None)
-        if backing == "file":
-            assert v.stats() == run().stats()  # counters do not depend on the backing
-            v.close()
+    @pytest.mark.parametrize("seed", range(5))
+    def test_random_traces_match_plain_array(self, seed):
+        # four records a block, four frames: the trace keeps about 10-40
+        # records, so it evicts a few hundred times
+        v = make(cache=4 * 64, block=64, rec=16)
+        self.run_trace(v, random.Random(seed), 4000)
 
     @given(st.integers(0, 2**32))
     @settings(max_examples=25, deadline=None)
@@ -246,75 +256,4 @@ class TestLruOracle:
             b.block_reads,
             b.block_writes,
             b.evictions,
-        )
-
-
-class TestFileBacking:
-    def test_roundtrip(self, tmp_path):
-        p = str(tmp_path / "vec.bin")
-        v = make(cache=2 * 4096, path=p)
-        for i in range(1000):
-            v.push2(i, i * 3)
-        v.close()
-        with open(p + ".meta") as f:
-            assert f.read().strip() == f"emvec v1 16 4096 1000"
-        w = BlockVector.open_file(p, cache_bytes=16 * MB)
-        assert len(w) == 1000
-        for i in range(1000):
-            assert w.get2(i) == (i, i * 3)
-        w.close()
-
-    def test_block_layout_on_disk(self, tmp_path):
-        p = str(tmp_path / "vec.bin")
-        v = make(path=p)
-        v.extend(257)  # just into block 1
-        v.set2(0, 0xAABB, 1)
-        v.set2(256, 0xCCDD, 2)
-        v.close()
-        raw = open(p, "rb").read()
-        assert len(raw) == 2 * 4096  # whole blocks, zero padded
-        assert int.from_bytes(raw[0:8], "little") == 0xAABB
-        assert int.from_bytes(raw[4096 : 4096 + 8], "little") == 0xCCDD
-
-    def test_faults_read_through_file(self, tmp_path):
-        p = str(tmp_path / "vec.bin")
-        v = make(cache=4096, path=p)  # one frame -> constant eviction
-        v.extend(512)
-        v.set2(0, 7, 7)
-        v.set2(256, 8, 8)  # evicts dirty block 0 to disk
-        assert v.get2(0) == (7, 7)  # must come back from the file
-        v.close()
-
-    def test_file_and_memory_modes_fully_equivalent(self, tmp_path):
-        # same op trace, same contents, same counters, under heavy eviction
-        rng = random.Random(2)
-        nrec = 3 * 256  # three blocks against a two-frame cache
-        ops = []
-        for _ in range(6000):
-            r = rng.random()
-            if r < 0.5:
-                ops.append(("set", rng.randrange(nrec), rng.getrandbits(60), rng.getrandbits(60)))
-            else:
-                ops.append(("get", rng.randrange(nrec)))
-
-        def run(vec):
-            vec.extend(nrec)
-            out = []
-            for op in ops:
-                if op[0] == "set":
-                    vec.set2(op[1], op[2], op[3])
-                else:
-                    out.append(vec.get2(op[1]))
-            return out, vec.stats()
-
-        out_m, st_m = run(make(cache=2 * 4096))
-        fv = make(cache=2 * 4096, path=str(tmp_path / "v.bin"))
-        out_f, st_f = run(fv)
-        fv.close()
-        assert out_m == out_f
-        assert st_m.evictions > 100  # the trace really does thrash
-        assert (st_m.block_reads, st_m.block_writes, st_m.evictions) == (
-            st_f.block_reads,
-            st_f.block_writes,
-            st_f.evictions,
         )
