@@ -9,7 +9,7 @@ Level i (1-based) holds at most 2^(2i+2) elements and flushes its signal
 buffer once it exceeds 2^(2i+1) pending signals, so an element costs a
 bounded number of whole-level scans on its way down and back up. Buckets
 are kept sorted by (key, id); all records live in one BlockVector as
-(id, key) pairs.
+(key, id) pairs, the order they sort in.
 
 Uniqueness of live ids across buckets is preserved by chasing every
 mid-chain insertion with a delete signal for the levels below it, which
@@ -95,7 +95,8 @@ class BucketHeap:
         if j > 0:
             self._refill(j)
         top = self._levels[0]
-        return self.vector.get2(top.bstart + top.bhead)
+        key, ident = self.vector.get2(top.bstart + top.bhead)
+        return (ident, key)
 
     def delete_min(self) -> tuple[int, int]:
         m = self.find_min()
@@ -113,7 +114,7 @@ class BucketHeap:
         if not self._levels:
             self._add_level()
         top = self._levels[0]
-        self.vector.set2(top.sstart + top.scount, ident, key)
+        self.vector.set2(top.sstart + top.scount, key, ident)
         top.scount += 1
         self.stored += 1
         if top.scount > signal_capacity(1):
@@ -129,21 +130,19 @@ class BucketHeap:
         leftovers (and overflow) down to level li+1."""
         lv = self._levels[li]
         vec = self.vector
-        signals = [vec.get2(lv.sstart + s) for s in range(lv.scount)]
+        signals = vec.read_run2(lv.sstart, lv.sstart + lv.scount)
         self.stored -= lv.scount + lv.bcount
         lv.scount = 0
-        d = {}
-        for b in range(lv.bcount):
-            ident, key = vec.get2(lv.bstart + lv.bhead + b)
-            d[ident] = key
+        lo = lv.bstart + lv.bhead
+        d = {ident: key for key, ident in vec.read_run2(lo, lo + lv.bcount)}
         deepest = li == len(self._levels) - 1
-        out: list[tuple[int, int]] = []  # (id, key) signals for the next level
-        for sid, skey in signals:
+        out: list[tuple[int, int]] = []  # (key, id) signals for the next level
+        for skey, sid in signals:
             if skey == DELETE_KEY:
                 if sid in d:
                     del d[sid]
                 elif not deepest:
-                    out.append((sid, DELETE_KEY))
+                    out.append((DELETE_KEY, sid))
             else:
                 cur = d.get(sid)
                 if cur is not None:
@@ -153,29 +152,26 @@ class BucketHeap:
                     d[sid] = skey
                     if not deepest:
                         # chase a possible stale copy of sid in deeper levels
-                        out.append((sid, DELETE_KEY))
+                        out.append((DELETE_KEY, sid))
                 else:
-                    out.append((sid, skey))
-        items = sorted((key, ident) for ident, key in d.items())
+                    out.append((skey, sid))
+        items = sorted(zip(d.values(), d))
         if len(items) > lv.bcap:
-            keep = items[: lv.bcap]
-            lv.splitter = keep[-1][0]
-            out.extend((ident, key) for key, ident in items[lv.bcap :])
-            items = keep
+            out.extend(items[lv.bcap :])
+            del items[lv.bcap :]
+            lv.splitter = items[-1][0]
         lv.bhead = 0
         lv.bcount = len(items)
         self.stored += len(items) + len(out)
-        for b, (key, ident) in enumerate(items):
-            vec.set2(lv.bstart + b, ident, key)
+        vec.write_run2(lv.bstart, items)
         if out:
             if li + 1 == len(self._levels):
                 self._add_level()
             nxt = self._levels[li + 1]
             if nxt.scount + len(out) > nxt.sroom:
                 raise AssertionError(f"signal region overflow at level {nxt.num}")
-            for ident, key in out:
-                vec.set2(nxt.sstart + nxt.scount, ident, key)
-                nxt.scount += 1
+            vec.write_run2(nxt.sstart + nxt.scount, out)
+            nxt.scount += len(out)
             if nxt.scount > signal_capacity(nxt.num):
                 self._flush(li + 1)
 
@@ -186,7 +182,8 @@ class BucketHeap:
         src = self._levels[j]
         targets = [bucket_capacity(l.num) // 2 for l in self._levels[:j]]
         m = min(sum(targets), src.bcount)
-        pulled = [vec.get2(src.bstart + src.bhead + b) for b in range(m)]
+        lo = src.bstart + src.bhead
+        pulled = vec.read_run2(lo, lo + m)
         src.bhead += m
         src.bcount -= m
         pos = 0
@@ -196,10 +193,9 @@ class BucketHeap:
             pos += len(chunk)
             lv.bhead = 0
             lv.bcount = len(chunk)
-            for b, (ident, key) in enumerate(chunk):
-                vec.set2(lv.bstart + b, ident, key)
+            vec.write_run2(lv.bstart, chunk)
             if chunk:
-                last_key = chunk[-1][1]
+                last_key = chunk[-1][0]
             lv.splitter = last_key
 
     # -- test hooks -------------------------------------------------------------
@@ -216,7 +212,7 @@ class BucketHeap:
             assert 0 <= lv.bcount <= lv.bcap, f"bucket occupancy out of range at level {lv.num}"
             prev = None
             for b in range(lv.bcount):
-                ident, key = self.vector.peek2(lv.bstart + lv.bhead + b)
+                key, ident = self.vector.peek2(lv.bstart + lv.bhead + b)
                 assert key <= lv.splitter, f"key above splitter at level {lv.num}"
                 if prev is not None:
                     assert prev <= (key, ident), f"bucket unsorted at level {lv.num}"
@@ -239,7 +235,7 @@ class BucketHeap:
         out: dict[int, int] = {}
         for lv in self._levels:
             for b in range(lv.bcount):
-                ident, key = self.vector.peek2(lv.bstart + lv.bhead + b)
+                key, ident = self.vector.peek2(lv.bstart + lv.bhead + b)
                 assert ident not in out, f"id {ident} live in two buckets after resolution"
                 out[ident] = key
         return out

@@ -13,13 +13,17 @@ blocks hold bytes decides no count: the counters follow the LRU cache alone.
 
 The record accessors are written for throughput: the LRU bump is inlined
 and repeated touches of the same block skip the bookkeeping entirely (a
-repeated touch cannot change LRU order or fault counts).
+repeated touch cannot change LRU order or fault counts). The run accessors
+``read_run2``/``write_run2`` move a contiguous range of records at once:
+they touch each block of the range once, in ascending order, and count
+exactly like the per-record ``get2``/``set2`` loop over the same range.
 """
 
 from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
+from itertools import chain
 
 _PAIR = struct.Struct("<QQ")
 _ONE = struct.Struct("<Q")
@@ -27,6 +31,7 @@ _pack_pair = _PAIR.pack_into
 _unpack_pair = _PAIR.unpack_from
 _pack_one = _ONE.pack_into
 _unpack_one = _ONE.unpack_from
+_unpack_pairs = _PAIR.iter_unpack
 
 MB = 1024 * 1024
 U64 = 1 << 64  # record fields are unsigned 64-bit: ids and keys lie in [0, U64)
@@ -200,6 +205,47 @@ class BlockVector:
         else:
             self._resident[b] = True
         _pack_pair(self._last_data, (i - b * self._rpb) * 16, a, k)
+
+    def read_run2(self, lo: int, hi: int) -> list[tuple[int, int]]:
+        """Records lo..hi-1 as (a, k) pairs. Touches and counts exactly like
+        get2 over the range, but visits each block once."""
+        if self._rb != 16:
+            raise TypeError("read_run2/write_run2 require 16-byte records")
+        if not 0 <= lo <= hi <= self._length:
+            raise IndexError(f"record run [{lo}, {hi}) out of range [0, {self._length})")
+        rpb = self._rpb
+        out: list[tuple[int, int]] = []
+        i = lo
+        while i < hi:
+            b = i // rpb
+            end = min(hi, (b + 1) * rpb)
+            if b != self._last_block:
+                self._switch(b, False)
+            off = (i - b * rpb) * 16
+            out.extend(_unpack_pairs(self._last_data[off : off + (end - i) * 16]))
+            i = end
+        return out
+
+    def write_run2(self, lo: int, pairs: list[tuple[int, int]]) -> None:
+        """Store pairs at records lo, lo+1, ... Touches, dirties and counts
+        exactly like set2 over the range, but visits each block once."""
+        if self._rb != 16:
+            raise TypeError("read_run2/write_run2 require 16-byte records")
+        hi = lo + len(pairs)
+        if not 0 <= lo <= hi <= self._length:
+            raise IndexError(f"record run [{lo}, {hi}) out of range [0, {self._length})")
+        rpb = self._rpb
+        i = lo
+        while i < hi:
+            b = i // rpb
+            end = min(hi, (b + 1) * rpb)
+            if b != self._last_block:
+                self._switch(b, True)
+            else:
+                self._resident[b] = True
+            flat = chain.from_iterable(pairs[i - lo : end - lo])
+            struct.pack_into(f"<{2 * (end - i)}Q", self._last_data, (i - b * rpb) * 16, *flat)
+            i = end
 
     def push2(self, a: int, k: int) -> None:
         self._length += 1

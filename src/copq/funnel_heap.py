@@ -13,8 +13,9 @@ one sorted run, written to the target link's next unused leaf. Leaf sizes
 and fan-ins grow geometrically from link to link, so a heap of n elements
 never has more than O(log n) links.
 
-All records live in one BlockVector as (id, key) pairs; buffer cursors are
-plain fields. Duplicate ids are allowed (multiset), ties break by id.
+All records live in one BlockVector as (key, id) pairs, the order they sort
+in; buffer cursors are plain fields. Duplicate ids are allowed (multiset),
+ties break by id.
 """
 
 from __future__ import annotations
@@ -85,11 +86,10 @@ def _link_params(num: int) -> tuple[int, int, int, int, int, int]:
 
 
 class _Ring:
-    """Circular queue of (id, key) records over a fixed vector region.
+    """Circular queue of (key, id) records over a fixed vector region.
 
     Content is always a sorted run; pops come from the head, appends go to
-    the tail. Tuples flowing through the heap are (key, id) so they compare
-    directly; storage order is (id, key).
+    the tail.
     """
 
     __slots__ = ("start", "cap", "head", "count")
@@ -101,8 +101,7 @@ class _Ring:
         self.count = 0
 
     def peek(self, vec: BlockVector) -> tuple[int, int]:
-        ident, key = vec.get2(self.start + self.head)
-        return (key, ident)
+        return vec.get2(self.start + self.head)
 
     def advance(self) -> None:
         """Drop the head record (caller already holds its value from peek)."""
@@ -111,38 +110,29 @@ class _Ring:
             self.head = 0
         self.count -= 1
 
-    def append(self, vec: BlockVector, key: int, ident: int) -> None:
-        pos = self.head + self.count
-        if pos >= self.cap:
-            pos -= self.cap
-        vec.set2(self.start + pos, ident, key)
-        self.count += 1
-
-    def get_at(self, vec: BlockVector, i: int) -> tuple[int, int]:
-        pos = self.head + i
-        if pos >= self.cap:
-            pos -= self.cap
-        ident, key = vec.get2(self.start + pos)
-        return (key, ident)
-
     def set_at(self, vec: BlockVector, i: int, item: tuple[int, int]) -> None:
         pos = self.head + i
         if pos >= self.cap:
             pos -= self.cap
-        vec.set2(self.start + pos, item[1], item[0])
+        vec.set2(self.start + pos, item[0], item[1])
 
     def drain(self, vec: BlockVector) -> list[tuple[int, int]]:
-        out = [self.get_at(vec, i) for i in range(self.count)]
+        """Empty the ring, returning its records: one run up to the end of
+        the region and, if the ring wraps, one from its start."""
+        first = min(self.count, self.cap - self.head)
+        lo = self.start + self.head
+        out = vec.read_run2(lo, lo + first)
+        if first < self.count:
+            out.extend(vec.read_run2(self.start, self.start + self.count - first))
         self.head = 0
         self.count = 0
         return out
 
     def write_run(self, vec: BlockVector, run: list[tuple[int, int]]) -> None:
+        """Replace the content by the sorted run."""
         self.head = 0
         self.count = len(run)
-        base = self.start
-        for i, (key, ident) in enumerate(run):
-            vec.set2(base + i, ident, key)
+        vec.write_run2(self.start, run)
 
     def peek_all(self, vec: BlockVector) -> list[tuple[int, int]]:
         out = []
@@ -150,8 +140,7 @@ class _Ring:
             pos = self.head + i
             if pos >= self.cap:
                 pos -= self.cap
-            ident, key = vec.peek2(self.start + pos)
-            out.append((key, ident))
+            out.append(vec.peek2(self.start + pos))
         return out
 
 
@@ -181,36 +170,49 @@ class _Merger:
 
     def fill(self, vec: BlockVector) -> None:
         # heads are cached between iterations: one record read per move;
-        # False marks a side whose whole subtree is (currently) empty
+        # False marks a side whose whole subtree is (currently) empty.
+        # Ring steps are inlined with the output cursor in locals; out.count
+        # is stored back before a child fills and at the end. Not batched:
+        # one get2/set2 per step, in stream order, which sets the LRU order.
+        get2, set2 = vec.get2, vec.set2
         out = self.out
         want = self.batch
+        ostart, ocap, ocount = out.start, out.cap, out.count
+        opos = out.head + ocount
+        if opos >= ocap:
+            opos -= ocap
         lring, rring = self.left.ring, self.right.ring
         lprod, rprod = self.left.producer, self.right.producer
         lhead = rhead = None
-        while out.count < want:
+        while ocount < want:
             if lhead is None:
                 if lring.count == 0 and lprod is not None:
+                    out.count = ocount
                     lprod.fill(vec)
-                lhead = lring.peek(vec) if lring.count else False
+                lhead = get2(lring.start + lring.head) if lring.count else False
             if rhead is None:
                 if rring.count == 0 and rprod is not None:
+                    out.count = ocount
                     rprod.fill(vec)
-                rhead = rring.peek(vec) if rring.count else False
-            if lhead is not False:
-                if rhead is not False and rhead < lhead:
-                    out.append(vec, rhead[0], rhead[1])
-                    rring.advance()
-                    rhead = None
-                else:
-                    out.append(vec, lhead[0], lhead[1])
-                    lring.advance()
-                    lhead = None
+                rhead = get2(rring.start + rring.head) if rring.count else False
+            if lhead is not False and (rhead is False or not rhead < lhead):
+                src, item = lring, lhead
+                lhead = None
             elif rhead is not False:
-                out.append(vec, rhead[0], rhead[1])
-                rring.advance()
+                src, item = rring, rhead
                 rhead = None
             else:
                 break
+            set2(ostart + opos, item[0], item[1])
+            opos += 1
+            if opos == ocap:
+                opos = 0
+            ocount += 1
+            src.head += 1
+            if src.head == src.cap:
+                src.head = 0
+            src.count -= 1
+        out.count = ocount
 
 
 class _Alloc:

@@ -232,13 +232,17 @@ class ExternalGraph:
         self.vertex_count = g.vertex_count
         self.arc_count = g.arc_count
         self.source = g
-        n = g.vertex_count
-        self.vector.extend(n + 1 + g.arc_count)
-        for i, off in enumerate(g.offsets):
-            self.vector.set2(i, off, 0)
-        base = n + 1
-        for a in range(g.arc_count):
-            self.vector.set2(base + a, g.targets[a], g.weights[a])
+        vec = self.vector
+        vec.extend(g.vertex_count + 1 + g.arc_count)
+        # written one block's worth of records at a time, so no list of the
+        # whole graph's records is built next to the Graph itself
+        step = config.records_per_block
+        offsets, targets, weights = g.offsets, g.targets, g.weights
+        for lo in range(0, len(offsets), step):
+            vec.write_run2(lo, [(off, 0) for off in offsets[lo : lo + step]])
+        base = len(offsets)
+        for lo in range(0, g.arc_count, step):
+            vec.write_run2(base + lo, list(zip(targets[lo : lo + step], weights[lo : lo + step])))
 
     def arc_range(self, v: int) -> tuple[int, int]:
         lo, _ = self.vector.get2(v)

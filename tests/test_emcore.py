@@ -212,6 +212,100 @@ class TestArrayOracle:
         self.run_trace(v, rng, 300)
 
 
+class TestRunAccessors:
+    """read_run2/write_run2 against a twin vector that runs the same trace
+    as per-record get2/set2 calls: contents, counters and dirty flags agree."""
+
+    def run_twin_trace(self, rng, steps):
+        # four records a block, three frames: runs of up to 12 records cross
+        # blocks, and the trace keeps about 10-40 records, so it evicts often
+        v, twin = make(cache=3 * 64, block=64, rec=16), make(cache=3 * 64, block=64, rec=16)
+        v.extend(8)
+        twin.extend(8)
+        last = 0  # last record index touched, to start runs on the last block
+        for _ in range(steps):
+            n = len(v)
+            op = rng.random()
+            if op < 0.6 and n:
+                if rng.random() < 0.5:
+                    lo = min(n, last // 4 * 4 + rng.randrange(4))
+                else:
+                    lo = rng.randrange(n + 1)
+                hi = rng.randint(lo, min(n, lo + 12))
+                if op < 0.3:
+                    got = v.read_run2(lo, hi)
+                    assert got == [twin.get2(i) for i in range(lo, hi)]
+                else:
+                    pairs = [(rng.getrandbits(64), rng.getrandbits(64)) for _ in range(hi - lo)]
+                    v.write_run2(lo, pairs)
+                    for i, (a, k) in enumerate(pairs):
+                        twin.set2(lo + i, a, k)
+                if hi > lo:
+                    last = hi - 1
+            elif op < 0.75 and n:
+                last = rng.randrange(n)
+                assert v.get2(last) == twin.get2(last)
+            elif op < 0.88 and n:
+                last = rng.randrange(n)
+                a, k = rng.getrandbits(64), rng.getrandbits(64)
+                v.set2(last, a, k)
+                twin.set2(last, a, k)
+            elif op < 0.94:
+                m = rng.randrange(n + 1)
+                v.truncate(m)
+                twin.truncate(m)
+            else:
+                m = rng.randrange(12)
+                v.extend(m)
+                twin.extend(m)
+            assert v.stats() == twin.stats()
+            assert [v.peek2(i) for i in range(len(v))] == [twin.peek2(i) for i in range(len(twin))]
+        v.drop_cache()
+        twin.drop_cache()
+        assert v.stats() == twin.stats()  # equal write-backs: equal dirty flags
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_runs_count_like_per_record_calls(self, seed):
+        self.run_twin_trace(random.Random(seed), 3000)
+
+    @given(st.integers(0, 2**32))
+    @settings(max_examples=25, deadline=None)
+    def test_hypothesis_twin_traces(self, seed):
+        self.run_twin_trace(random.Random(seed), 300)
+
+    def test_empty_run_touches_nothing(self):
+        v = make(cache=64, block=64, rec=16)  # one frame
+        v.extend(8)
+        v.get2(0)
+        assert v.read_run2(4, 4) == []
+        v.write_run2(4, [])
+        v.get2(0)  # still resident: the empty runs did not fault block 1
+        assert v.stats() == IoStats(block_reads=1, block_writes=0, evictions=0)
+
+    def test_out_of_range_run_raises_before_any_touch(self):
+        v = make(cache=64, block=64, rec=16)
+        v.extend(8)
+        v.set2(7, 1, 2)
+        before = v.stats()
+        for lo, hi in ((0, 9), (-1, 2), (3, 2)):
+            with pytest.raises(IndexError):
+                v.read_run2(lo, hi)
+        for lo, n in ((7, 2), (-1, 1), (9, 0)):
+            with pytest.raises(IndexError):
+                v.write_run2(lo, [(5, 5)] * n)
+        assert v.stats() == before
+        assert [v.peek2(i) for i in range(8)] == [(0, 0)] * 7 + [(1, 2)]
+
+    def test_eight_byte_vector_rejected(self):
+        v = make(rec=8)
+        v.extend(4)
+        with pytest.raises(TypeError):
+            v.read_run2(0, 2)
+        with pytest.raises(TypeError):
+            v.write_run2(0, [(1, 1)])
+        assert v.stats() == IoStats()
+
+
 class TestLruOracle:
     @pytest.mark.parametrize(
         "frames,block,rec",
