@@ -9,7 +9,7 @@ and a graph's counters are reset after it is loaded, before the run starts.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 from .binary_heap import BinaryHeap
 from .bucket_heap import BucketHeap
@@ -17,11 +17,6 @@ from .emcore import EmConfig, IoStats, DEFAULT_BLOCK_BYTES, DEFAULT_CACHE_BYTES,
 from .funnel_heap import FunnelHeap
 from .graphs import Graph, SplitMix64, load_csr
 from .sssp import SSSP, sssp_reference
-
-CSV_HEADER = (
-    "experiment,structure,size,cache_bytes,block_bytes,seed,wall_seconds,"
-    "pq_reads,pq_writes,graph_reads,graph_writes,peak_heap_entries"
-)
 
 # first columns of the published experiment grids
 PQ_SIZES = [1 << e for e in range(16, 26)]
@@ -51,30 +46,27 @@ class BenchRecord:
     peak_heap_entries: float
 
     def csv_row(self) -> str:
-        def num(x):
-            if isinstance(x, str):
-                return x
-            if isinstance(x, float):
-                return f"{x:.6g}" if x != int(x) else str(int(x))
-            return str(x)
+        return ",".join(_cell(f.name, getattr(self, f.name)) for f in fields(self))
 
-        wall = self.wall_seconds if isinstance(self.wall_seconds, str) else f"{self.wall_seconds:.3f}"
-        return ",".join(
-            [
-                self.experiment,
-                self.structure,
-                str(self.size),
-                str(self.cache_bytes),
-                str(self.block_bytes),
-                str(self.seed),
-                wall,
-                num(self.pq_reads),
-                num(self.pq_writes),
-                num(self.graph_reads),
-                num(self.graph_writes),
-                num(self.peak_heap_entries),
-            ]
-        )
+
+CSV_HEADER = ",".join(f.name for f in fields(BenchRecord))
+
+
+def _cell(name: str, x) -> str:
+    """A string as it is, wall time to the millisecond, a whole float as an
+    int, any other float to six significant digits."""
+    if isinstance(x, str):
+        return x
+    if name == "wall_seconds":
+        return f"{x:.3f}"
+    if isinstance(x, float):
+        return str(int(x)) if x.is_integer() else f"{x:.6g}"
+    return str(x)
+
+
+def first_mismatch(got: list, want: list) -> int | None:
+    """The first vertex whose distances differ, or None when they agree."""
+    return next((v for v, (a, b) in enumerate(zip(got, want)) if a != b), None)
 
 
 def write_csv(records: list[BenchRecord], fh) -> None:
@@ -107,39 +99,58 @@ def pq_workload(
     ops = 0
     if peak is None:
         peak = [0]
-
-    def check_time():
-        if deadline is not None and time.monotonic() > deadline:
-            raise BenchTimeout()
-
-    def insert_batch(count):
-        nonlocal ident, ops
+    for inserting, count in ((True, n), (False, n // 2), (True, n // 2), (False, n)):
         for _ in range(count):
-            pq.insert(ident, rng.next() >> 16)
-            occ = pq.occupancy()
-            if occ > peak[0]:
-                peak[0] = occ
-            ident += 1
+            if inserting:
+                pq.insert(ident, rng.next() >> 16)
+                occ = pq.occupancy()
+                if occ > peak[0]:
+                    peak[0] = occ
+                ident += 1
+            else:
+                i, k = pq.delete_min()
+                checksum = ((checksum * 1099511628211) ^ (i * 0x9E3779B97F4A7C15) ^ k) & _MASK64
             ops += 1
-            if not ops & 1023:
-                check_time()
-
-    def pop_batch(count):
-        nonlocal checksum, ops
-        for _ in range(count):
-            i, k = pq.delete_min()
-            checksum = ((checksum * 1099511628211) ^ (i * 0x9E3779B97F4A7C15) ^ k) & _MASK64
-            ops += 1
-            if not ops & 1023:
-                check_time()
-
-    insert_batch(n)
-    pop_batch(n // 2)
-    insert_batch(n // 2)
-    pop_batch(n)
+            if not ops & 1023 and deadline is not None and time.monotonic() > deadline:
+                raise BenchTimeout()
     if pq.find_min() is not None:
         raise RuntimeError("workload must leave the heap empty: structural defect")
     return checksum
+
+
+def _bench_rows(experiment, structure, cases, cache_bytes, block_bytes, seed, reps, run) -> list[BenchRecord]:
+    """One row per (size, case). run(case, seed + rep) returns (timed_out,
+    wall, pq IoStats, graph IoStats, peak); a row averages the reps up to the
+    first that timed out, which ends the grid with wall_seconds "timeout"."""
+    records = []
+    for size, case in cases:
+        runs = []
+        for rep in range(reps):
+            timed_out, *result = run(case, seed + rep)
+            runs.append(result)
+            if timed_out:
+                break
+        k = len(runs)
+        walls, pqs, graphs, peaks = zip(*runs)
+        records.append(
+            BenchRecord(
+                experiment,
+                structure,
+                size,
+                cache_bytes,
+                block_bytes,
+                seed,
+                "timeout" if timed_out else sum(walls) / k,
+                sum(s.block_reads for s in pqs) / k,
+                sum(s.block_writes for s in pqs) / k,
+                sum(s.block_reads for s in graphs) / k,
+                sum(s.block_writes for s in graphs) / k,
+                sum(peaks) / k,
+            )
+        )
+        if timed_out:
+            break
+    return records
 
 
 def run_pq_bench(
@@ -152,44 +163,20 @@ def run_pq_bench(
     timeout_secs: float | None = None,
 ) -> list[BenchRecord]:
     sizes = PQ_SIZES if sizes is None else sizes
-    records = []
-    for n in sizes:
-        walls, stats, peaks = [], [], []
-        timed_out = False
-        for rep in range(reps):
-            heap = HEAPS[structure](cache_bytes, block_bytes)
-            peak = [0]
-            deadline = time.monotonic() + timeout_secs if timeout_secs is not None else None
-            t0 = time.perf_counter()
-            try:
-                pq_workload(heap, n, seed + rep, deadline, peak)
-            except BenchTimeout:
-                timed_out = True
-            walls.append(time.perf_counter() - t0)
-            stats.append(io_stats(heap))
-            peaks.append(peak[0])
-            if timed_out:
-                break
-        k = len(stats)
-        records.append(
-            BenchRecord(
-                experiment="pq",
-                structure=structure,
-                size=n,
-                cache_bytes=cache_bytes,
-                block_bytes=block_bytes,
-                seed=seed,
-                wall_seconds="timeout" if timed_out else sum(walls) / k,
-                pq_reads=sum(s.block_reads for s in stats) / k,
-                pq_writes=sum(s.block_writes for s in stats) / k,
-                graph_reads=0,
-                graph_writes=0,
-                peak_heap_entries=sum(peaks) / k,
-            )
-        )
-        if timed_out:
-            break
-    return records
+
+    def run(n, rep_seed):
+        heap = HEAPS[structure](cache_bytes, block_bytes)
+        peak = [0]
+        deadline = time.monotonic() + timeout_secs if timeout_secs is not None else None
+        t0 = time.perf_counter()
+        try:
+            pq_workload(heap, n, rep_seed, deadline, peak)
+            timed_out = False
+        except BenchTimeout:
+            timed_out = True
+        return timed_out, time.perf_counter() - t0, io_stats(heap), IoStats(), peak[0]
+
+    return _bench_rows("pq", structure, [(n, n) for n in sizes], cache_bytes, block_bytes, seed, reps, run)
 
 
 def run_sssp_bench(
@@ -208,52 +195,25 @@ def run_sssp_bench(
     reference solver whenever V <= verify_cap; a mismatch aborts loudly.
     """
     fn = SSSP[structure]
-    records = []
-    for size, g in graphs:
-        walls, pq_list, graph_list, peaks = [], [], [], []
-        timed_out = False
-        for rep in range(reps):
-            eg = load_csr(g, EmConfig(cache_bytes, block_bytes, 16))
-            rng = SplitMix64(seed + rep)
-            source = rng.next() % g.vertex_count
-            t0 = time.perf_counter()
-            res = fn(eg, source, pq_cache_bytes=cache_bytes, block_bytes=block_bytes)
-            walls.append(time.perf_counter() - t0)
-            if timeout_secs is not None and walls[-1] > timeout_secs:
-                timed_out = True
-            if g.vertex_count <= verify_cap:
-                want = sssp_reference(g, source).dist
-                if res.dist != want:
-                    bad = next(i for i in range(len(want)) if res.dist[i] != want[i])
-                    raise RuntimeError(
-                        f"{structure} SSSP mismatch on V={g.vertex_count} seed={seed + rep}: "
-                        f"vertex {bad}: got {res.dist[bad]}, want {want[bad]}"
-                    )
-            pq_list.append(res.stats["pq"])
-            graph_list.append(res.stats["graph"])
-            peaks.append(res.peak_heap_entries)
-            if timed_out:
-                break
-        k = len(walls)
-        records.append(
-            BenchRecord(
-                experiment="sssp",
-                structure=structure,
-                size=size,
-                cache_bytes=cache_bytes,
-                block_bytes=block_bytes,
-                seed=seed,
-                wall_seconds="timeout" if timed_out else sum(walls) / k,
-                pq_reads=sum(s.block_reads for s in pq_list) / k,
-                pq_writes=sum(s.block_writes for s in pq_list) / k,
-                graph_reads=sum(s.block_reads for s in graph_list) / k,
-                graph_writes=sum(s.block_writes for s in graph_list) / k,
-                peak_heap_entries=sum(peaks) / k,
-            )
-        )
-        if timed_out:
-            break
-    return records
+
+    def run(g, rep_seed):
+        eg = load_csr(g, EmConfig(cache_bytes, block_bytes, 16))
+        source = SplitMix64(rep_seed).next() % g.vertex_count
+        t0 = time.perf_counter()
+        res = fn(eg, source, pq_cache_bytes=cache_bytes, block_bytes=block_bytes)
+        wall = time.perf_counter() - t0
+        if g.vertex_count <= verify_cap:
+            want = sssp_reference(g, source).dist
+            bad = first_mismatch(res.dist, want)
+            if bad is not None:
+                raise RuntimeError(
+                    f"{structure} SSSP mismatch on V={g.vertex_count} seed={rep_seed}: "
+                    f"vertex {bad}: got {res.dist[bad]}, want {want[bad]}"
+                )
+        timed_out = timeout_secs is not None and wall > timeout_secs
+        return timed_out, wall, res.stats["pq"], res.stats["graph"], res.peak_heap_entries
+
+    return _bench_rows("sssp", structure, graphs, cache_bytes, block_bytes, seed, reps, run)
 
 
 def mem_sweep(
@@ -269,16 +229,7 @@ def mem_sweep(
     cache_list = MEM_SWEEP_CACHES if cache_list is None else cache_list
     records = []
     for cache_bytes in cache_list:
-        rows = run_pq_bench(
-            structure,
-            sizes=[n],
-            cache_bytes=cache_bytes,
-            block_bytes=block_bytes,
-            seed=seed,
-            reps=reps,
-            timeout_secs=timeout_secs,
-        )
-        for r in rows:
-            r.experiment = "mem-sweep"
-        records.extend(rows)
+        records += run_pq_bench(structure, [n], cache_bytes, block_bytes, seed, reps, timeout_secs)
+    for r in records:
+        r.experiment = "mem-sweep"
     return records

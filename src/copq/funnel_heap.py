@@ -273,7 +273,6 @@ class FunnelHeap:
         self._imirror: list[tuple[int, int]] = []
         self._links: list[_Link] = []
         self._n = 0
-        self.peak_entries = 0
 
     def __len__(self) -> int:
         return self._n
@@ -299,8 +298,6 @@ class FunnelHeap:
         for j in range(pos, I.count):
             I.set_at(vec, j, mirror[j])
         self._n += 1
-        if self._n > self.peak_entries:
-            self.peak_entries = self._n
 
     def find_min(self) -> tuple[int, int] | None:
         if self._n == 0:

@@ -10,6 +10,7 @@ work instead of enumerating all n(n-1)/2 pairs.
 from __future__ import annotations
 
 import math
+import struct
 from dataclasses import dataclass
 
 from .emcore import BlockVector, EmConfig, DEFAULT_BLOCK_BYTES, DEFAULT_CACHE_BYTES
@@ -197,6 +198,8 @@ def parse_dimacs(source) -> Graph:
                 raise DimacsError(f"target id {v} out of range [1,{n}]", line_no)
             if w <= 0:
                 raise DimacsError(f"non-positive weight {w}", line_no)
+            if w > _MASK64:
+                raise DimacsError(f"weight {w} does not fit 64 bits", line_no)
             arcs.append((u - 1, v - 1, w))
         else:
             raise DimacsError(f"unrecognized line {line!r}", line_no)
@@ -238,11 +241,14 @@ class ExternalGraph:
         # whole graph's records is built next to the Graph itself
         step = config.records_per_block
         offsets, targets, weights = g.offsets, g.targets, g.weights
-        for lo in range(0, len(offsets), step):
-            vec.write_run2(lo, [(off, 0) for off in offsets[lo : lo + step]])
-        base = len(offsets)
-        for lo in range(0, g.arc_count, step):
-            vec.write_run2(base + lo, list(zip(targets[lo : lo + step], weights[lo : lo + step])))
+        try:
+            for lo in range(0, len(offsets), step):
+                vec.write_run2(lo, [(off, 0) for off in offsets[lo : lo + step]])
+            base = len(offsets)
+            for lo in range(0, g.arc_count, step):
+                vec.write_run2(base + lo, list(zip(targets[lo : lo + step], weights[lo : lo + step])))
+        except struct.error:
+            raise ValueError("offsets, targets and weights must be integers in [0, 2^64)") from None
 
     def arc_range(self, v: int) -> tuple[int, int]:
         lo, _ = self.vector.get2(v)

@@ -129,7 +129,7 @@ def sssp_funnel(
     dist: list[int | None] = [None] * n
     order: list[int] = []
     h.insert(source, 0)
-    inserts = 1
+    inserts = peak = 1
     while len(h):
         v, d = h.delete_min()
         if visited[v]:
@@ -143,7 +143,9 @@ def sssp_funnel(
             if not visited[t]:
                 h.insert(t, d + w)
                 inserts += 1
-    return _result(dist, order, eg, h.vectors(), peak_heap_entries=h.peak_entries, heap_inserts=inserts)
+                if len(h) > peak:
+                    peak = len(h)
+    return _result(dist, order, eg, h.vectors(), peak_heap_entries=peak, heap_inserts=inserts)
 
 
 def sssp_bucket(

@@ -1,6 +1,7 @@
 import io
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -131,14 +132,23 @@ class TestCsv:
         rec = BenchRecord("pq", "binary", 1, 2, 3, 4, "timeout", 0, 0, 0, 0, 0)
         assert ",timeout," in rec.csv_row()
 
+    def test_csv_row_cell_formats(self):
+        # whole floats print as ints, other floats to six significant digits,
+        # ints as they are, wall time to the millisecond or as "timeout"
+        rec = BenchRecord("sssp", "funnel", 630, 65536, 4096, 1, "timeout", 297.5, 246.0, 189, 1 / 3, 1234567.5)
+        assert rec.csv_row() == "sssp,funnel,630,65536,4096,1,timeout,297.5,246,189,0.333333,1.23457e+06"
+        rec = BenchRecord("pq", "binary", 256, 1024, 64, 0, 2.0, 0, 0.0, 0, 0, 3)
+        assert rec.csv_row() == "pq,binary,256,1024,64,0,2.000,0,0,0,0,3"
+
 
 class TestCli:
-    def run_cli(self, *args):
+    def run_cli(self, *args, cwd=None):
         return subprocess.run(
             [sys.executable, "-m", "copq.cli", *args],
             capture_output=True,
             text=True,
             timeout=300,
+            cwd=cwd,
         )
 
     def test_pq_bench_stdout_csv(self):
@@ -155,6 +165,40 @@ class TestCli:
         r = self.run_cli("verify", "--heap", "bucket", "--dimacs", out, "--cache-mb", "1", "--source", "3")
         assert r.returncode == 0, r.stderr + r.stdout
         assert "OK" in r.stdout
+
+    def test_sssp_bench_dimacs(self):
+        gr = str(Path(__file__).parent / "data" / "sample_10k.gr")
+        r = self.run_cli("sssp-bench", "--heap", "binary", "--dimacs", gr, "--cache-mb", "0.0625", "--reps", "1")
+        assert r.returncode == 0, r.stderr
+        lines = r.stdout.strip().splitlines()
+        assert lines[0] == CSV_HEADER
+        assert lines[1].startswith("sssp,binary,630,65536,4096,0,")
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ("verify", "--heap", "funnel", "--gnp-n", "16", "--csv", "x.csv"),
+            ("verify", "--heap", "funnel", "--gnp-n", "16", "--reps", "1"),
+            ("verify", "--heap", "funnel", "--gnp-n", "16", "--timeout-secs", "1"),
+            ("mem-sweep", "--heap", "binary", "--n", "16", "--cache-mb", "1"),
+            ("mem-sweep", "--heap", "binary", "--n", "16", "--cache-bytes", "65536"),
+        ],
+        ids=["verify-csv", "verify-reps", "verify-timeout", "mem-sweep-cache-mb", "mem-sweep-cache-bytes"],
+    )
+    def test_flags_a_subcommand_does_not_read_are_rejected(self, args, tmp_path):
+        r = self.run_cli(*args, cwd=tmp_path)
+        assert r.returncode == 2, r.stdout
+        assert "unrecognized arguments" in r.stderr
+        assert not (tmp_path / "x.csv").exists()
+
+    def test_gen_graph_config_unknown_key_rejected(self, tmp_path):
+        cfg = tmp_path / "spec.cfg"
+        cfg.write_text("n=64, wmx=3\n")
+        out = tmp_path / "g.gr"
+        r = self.run_cli("gen-graph", "--config", str(cfg), "--out", str(out))
+        assert r.returncode != 0
+        assert "'wmx=3'" in r.stderr
+        assert not out.exists()
 
     def test_gen_graph_config_file(self, tmp_path):
         cfg = tmp_path / "spec.cfg"

@@ -89,6 +89,7 @@ class TestDimacs:
             ("a 1 2 3\np sp 2 1\n", "before problem line"),
             ("p sp 2 1\np sp 2 1\na 1 2 3\n", "duplicate problem"),
             ("p sp 2 1\na 1 2 0\n", "non-positive weight"),
+            ("p sp 2 1\na 1 2 18446744073709551616\n", "weight 18446744073709551616 does not fit 64 bits"),
             ("p sp 2 1\na 1 2\n", "malformed arc"),
             ("p sp 2 1\nq 1 2 3\n", "unrecognized"),
             ("p sp 2 2\na 1 2 3\n", "promised 2 arcs"),
@@ -101,6 +102,9 @@ class TestDimacs:
             parse_dimacs(text)
         assert fragment in str(e.value)
         assert "line" in str(e.value)
+
+    def test_largest_64_bit_weight_accepted(self):
+        assert parse_dimacs("p sp 2 1\na 1 2 18446744073709551615\n").weights == [(1 << 64) - 1]
 
     def test_write_empty_graph(self):
         g = Graph([0, 0, 0, 0], [], [])
@@ -151,6 +155,11 @@ class TestExternalGraph:
         first_block = base // rpb
         last_block = (base + g.arc_count - 1) // rpb
         assert eg.vector.stats().block_reads == last_block - first_block + 1
+
+    @pytest.mark.parametrize("targets,weights", [([1 << 64], [5]), ([1], [1 << 64]), ([1], [-1])])
+    def test_record_overflow_raises_value_error(self, targets, weights):
+        with pytest.raises(ValueError, match="2\\^64"):
+            load_csr(Graph([0, 1, 1], targets, weights))
 
     def test_source_of_arc(self):
         g = gen_gnp(GnpSpec(n=64, seed=2))
