@@ -193,6 +193,8 @@ def run_sssp_bench(
 
     graphs: (size-label, Graph) pairs. Distances are checked against the
     reference solver whenever V <= verify_cap; a mismatch aborts loudly.
+    timeout_secs cannot cut a run short, unlike run_pq_bench's deadline: a
+    run's time is compared with it only after the Dijkstra run finishes.
     """
     fn = SSSP[structure]
 

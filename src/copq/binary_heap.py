@@ -1,11 +1,12 @@
 """Array-based binary min-heap stored in a BlockVector.
 
-The baseline structure: an implicit complete binary tree of (id, key)
+The baseline structure: an implicit complete binary tree of (key, id)
 records, plus a second vector mapping id -> heap slot so decrease-key can
 find its element. Maintaining that position array costs block transfers on
 every sift step, which is exactly what the simulator is there to count.
 
-Ordering is by (key, id): ties always break toward the smaller id.
+Records are stored in the order they sort in, (key, id): ties always break
+toward the smaller id.
 """
 
 from __future__ import annotations
@@ -14,7 +15,8 @@ from .emcore import U64, BlockVector, EmConfig, DEFAULT_BLOCK_BYTES, DEFAULT_CAC
 
 
 class BinaryHeap:
-    """Min-heap of (id, key) pairs with insert, delete_min and decrease_key.
+    """Min-heap with insert, delete_min and decrease_key; find_min and
+    delete_min return (id, key).
 
     Live ids must be unique. Positions are stored as slot+1 so a zero record
     (the vector's default) means "absent".
@@ -55,28 +57,29 @@ class BinaryHeap:
             raise ValueError(f"id {ident} is already live in the heap")
         i = self._n
         self._n += 1
-        self.heap.push2(ident, key)
+        self.heap.push2(key, ident)
         self._pos_set(ident, i + 1)
-        self._sift_up(i, ident, key)
+        self._sift_up(i, (key, ident))
 
     def find_min(self) -> tuple[int, int] | None:
         if self._n == 0:
             return None
-        return self.heap.get2(0)
+        key, ident = self.heap.get2(0)
+        return ident, key
 
     def delete_min(self) -> tuple[int, int]:
         if self._n == 0:
             raise IndexError("delete_min on empty heap")
-        root = self.heap.get2(0)
-        self._pos_set(root[0], 0)
+        key, ident = self.heap.get2(0)
+        self._pos_set(ident, 0)
         last = self.heap.get2(self._n - 1)
         self.heap.truncate(self._n - 1)
         self._n -= 1
         if self._n:
             self.heap.set2(0, last[0], last[1])
-            self._pos_set(last[0], 1)
-            self._sift_down(0, last[0], last[1])
-        return root
+            self._pos_set(last[1], 1)
+            self._sift_down(0, last)
+        return ident, key
 
     def decrease_key(self, ident: int, new_key: int) -> None:
         if not (0 <= ident < U64 and 0 <= new_key < U64):
@@ -85,13 +88,13 @@ class BinaryHeap:
         if not p:
             raise KeyError(f"id {ident} not live in the heap")
         i = p - 1
-        _, cur = self.heap.get2(i)
+        cur, _ = self.heap.get2(i)
         if new_key > cur:
             raise ValueError(f"decrease_key to {new_key} would raise key {cur}")
         if new_key == cur:
             return
-        self.heap.set2(i, ident, new_key)
-        self._sift_up(i, ident, new_key)
+        self.heap.set2(i, new_key, ident)
+        self._sift_up(i, (new_key, ident))
 
     def current_key(self, ident: int) -> int | None:
         """Key of a live id, or None. Costs the position + heap reads."""
@@ -100,49 +103,47 @@ class BinaryHeap:
         p = self._pos_get(ident)
         if not p:
             return None
-        return self.heap.get2(p - 1)[1]
+        return self.heap.get2(p - 1)[0]
 
-    def _sift_up(self, i: int, ident: int, key: int) -> None:
+    def _sift_up(self, i: int, item: tuple[int, int]) -> None:
         heap, pos = self.heap, self.positions
         while i > 0:
             parent = (i - 1) >> 1
-            pid, pkey = heap.get2(parent)
-            if (pkey, pid) <= (key, ident):
+            p = heap.get2(parent)
+            if p <= item:
                 break
-            heap.set2(i, pid, pkey)
-            pos.set1(pid, i + 1)
+            heap.set2(i, p[0], p[1])
+            pos.set1(p[1], i + 1)
             i = parent
-        heap.set2(i, ident, key)
-        pos.set1(ident, i + 1)
+        heap.set2(i, item[0], item[1])
+        pos.set1(item[1], i + 1)
 
-    def _sift_down(self, i: int, ident: int, key: int) -> None:
+    def _sift_down(self, i: int, item: tuple[int, int]) -> None:
         heap, pos = self.heap, self.positions
         n = self._n
         while True:
             left = 2 * i + 1
             if left >= n:
                 break
-            cid, ckey = heap.get2(left)
+            c = heap.get2(left)
             child = left
             right = left + 1
             if right < n:
-                rid, rkey = heap.get2(right)
-                if (rkey, rid) < (ckey, cid):
-                    child, cid, ckey = right, rid, rkey
-            if (key, ident) <= (ckey, cid):
+                r = heap.get2(right)
+                if r < c:
+                    child, c = right, r
+            if item <= c:
                 break
-            heap.set2(i, cid, ckey)
-            pos.set1(cid, i + 1)
+            heap.set2(i, c[0], c[1])
+            pos.set1(c[1], i + 1)
             i = child
-        heap.set2(i, ident, key)
-        pos.set1(ident, i + 1)
+        heap.set2(i, item[0], item[1])
+        pos.set1(item[1], i + 1)
 
     def check_invariants(self) -> None:
         """Full-scan heap order + position consistency (test mode; stat-free)."""
         for i in range(1, self._n):
-            cid, ckey = self.heap.peek2(i)
-            pid, pkey = self.heap.peek2((i - 1) >> 1)
-            assert (pkey, pid) <= (ckey, cid), f"heap order broken at slot {i}"
+            assert self.heap.peek2((i - 1) >> 1) <= self.heap.peek2(i), f"heap order broken at slot {i}"
         for i in range(self._n):
-            ident, _ = self.heap.peek2(i)
+            _, ident = self.heap.peek2(i)
             assert self.positions.peek1(ident) == i + 1, f"position of id {ident} wrong"

@@ -89,16 +89,18 @@ class _Ring:
     """Circular queue of (key, id) records over a fixed vector region.
 
     Content is always a sorted run; pops come from the head, appends go to
-    the tail.
+    the tail. `producer` is the merger that refills the ring: None for the
+    insertion buffer, the leaves and the empty ring behind the last link.
     """
 
-    __slots__ = ("start", "cap", "head", "count")
+    __slots__ = ("start", "cap", "head", "count", "producer")
 
     def __init__(self, start: int, cap: int):
         self.start = start
         self.cap = cap
         self.head = 0
         self.count = 0
+        self.producer = None
 
     def peek(self, vec: BlockVector) -> tuple[int, int]:
         return vec.get2(self.start + self.head)
@@ -144,29 +146,18 @@ class _Ring:
         return out
 
 
-class _Stream:
-    """A merger input: a ring plus the merger that refills it (None for leaves)."""
-
-    __slots__ = ("ring", "producer")
-
-    def __init__(self, ring: _Ring, producer):
-        self.ring = ring
-        self.producer = producer
-
-
-_EMPTY_STREAM = _Stream(_Ring(0, 0), None)
-
-
 class _Merger:
-    """Binary merger filling its output ring with up to `batch` records per call."""
+    """Binary merger filling its output ring with up to `batch` records per
+    call; it becomes the output ring's producer."""
 
     __slots__ = ("out", "left", "right", "batch")
 
-    def __init__(self, out: _Ring, left: _Stream, right: _Stream, batch: int):
+    def __init__(self, out: _Ring, left: _Ring, right: _Ring, batch: int):
         self.out = out
         self.left = left
         self.right = right
         self.batch = batch
+        out.producer = self
 
     def fill(self, vec: BlockVector) -> None:
         # heads are cached between iterations: one record read per move;
@@ -181,8 +172,8 @@ class _Merger:
         opos = out.head + ocount
         if opos >= ocap:
             opos -= ocap
-        lring, rring = self.left.ring, self.right.ring
-        lprod, rprod = self.left.producer, self.right.producer
+        lring, rring = self.left, self.right
+        lprod, rprod = lring.producer, rring.producer
         lhead = rhead = None
         while ocount < want:
             if lhead is None:
@@ -215,48 +206,34 @@ class _Merger:
         out.count = ocount
 
 
-class _Alloc:
-    __slots__ = ("pos",)
-
-    def __init__(self, pos: int):
-        self.pos = pos
-
-    def take(self, n: int) -> int:
-        r = self.pos
-        self.pos += n
-        return r
-
-
-def _build_kmerger(alloc: _Alloc, k: int, inputs: list[_Stream], out: _Ring, internals: list[_Ring]) -> _Merger:
-    """Recursively laid-out k-merger: top sub-merger region first, then the
-    middle buffers, then the bottom sub-mergers, all contiguous."""
+def _build_kmerger(pos: int, k: int, inputs: list[_Ring], out: _Ring, internals: list[_Ring]) -> int:
+    """Recursively laid-out k-merger from record `pos` on: top sub-merger
+    region first, then the middle buffers, then the bottom sub-mergers, all
+    contiguous. Returns the first record past the region."""
     if k == 2:
-        return _Merger(out, inputs[0], inputs[1], out.cap)
+        _Merger(out, inputs[0], inputs[1], out.cap)
+        return pos
     top_f, bot_f = _merger_split(k)
-    top_alloc = _Alloc(alloc.take(_intsize(top_f)))
-    mids = []
-    for _ in range(top_f):
-        r = _Ring(alloc.take(bot_f**3), bot_f**3)
-        internals.append(r)
-        mids.append(r)
-    top_inputs = []
+    top_pos = pos
+    pos += _intsize(top_f)
+    mids = [_Ring(pos + t * bot_f**3, bot_f**3) for t in range(top_f)]
+    internals.extend(mids)
+    pos += top_f * bot_f**3
     for t in range(top_f):
-        bm = _build_kmerger(alloc, bot_f, inputs[t * bot_f : (t + 1) * bot_f], mids[t], internals)
-        top_inputs.append(_Stream(mids[t], bm))
-    return _build_kmerger(top_alloc, top_f, top_inputs, out, internals)
+        pos = _build_kmerger(pos, bot_f, inputs[t * bot_f : (t + 1) * bot_f], mids[t], internals)
+    _build_kmerger(top_pos, top_f, mids, out, internals)
+    return pos
 
 
 class _Link:
-    __slots__ = ("k", "A", "B", "leaves", "c", "internals", "v")
+    __slots__ = ("A", "B", "leaves", "c", "internals")
 
-    def __init__(self, k, A, B, leaves, internals, v):
-        self.k = k
-        self.A = A
+    def __init__(self, A, B, leaves, internals):
+        self.A = A  # output of the chain merger A.producer: B merged with the next link's A
         self.B = B
         self.leaves = leaves
         self.c = 0  # leaves [0, c) are in use or exhausted
         self.internals = internals
-        self.v = v
 
 
 class FunnelHeap:
@@ -325,7 +302,7 @@ class FunnelHeap:
         if self._links:
             a1 = self._links[0].A
             if a1.count == 0:
-                self._links[0].v.fill(vec)
+                a1.producer.fill(vec)
             if a1.count:
                 cand = a1.peek(vec)
                 if best is None or cand < best:
@@ -343,49 +320,37 @@ class FunnelHeap:
         self.vector.extend(acap + bcap + intsz + k * leafcap)
         A = _Ring(base, acap)
         B = _Ring(base + acap, bcap)
-        ialloc = _Alloc(base + acap + bcap)
         leaf_base = base + acap + bcap + intsz
         leaves = [_Ring(leaf_base + t * leafcap, leafcap) for t in range(k)]
         internals: list[_Ring] = []
-        kroot = _build_kmerger(ialloc, k, [_Stream(lf, None) for lf in leaves], B, internals)
-        v = _Merger(A, _Stream(B, kroot), _EMPTY_STREAM, batch=s)
-        link = _Link(k, A, B, leaves, internals, v)
+        _build_kmerger(base + acap + bcap, k, leaves, B, internals)
+        _Merger(A, B, _Ring(0, 0), batch=s)
         if self._links:
-            self._links[-1].v.right = _Stream(A, v)
-        self._links.append(link)
+            self._links[-1].A.producer.right = A
+        self._links.append(_Link(A, B, leaves, internals))
 
     def _sweep(self) -> None:
         """Drain the insertion buffer, all of links 1..i-1, and link i's chain
         and merger buffers into one sorted run stored in link i's next free
         leaf, where i is the shallowest link with a leaf to spare."""
         vec = self.vector
-        idx = None
-        for t, ln in enumerate(self._links):
-            if ln.c < ln.k:
-                idx = t
-                break
-        if idx is None:
-            idx = len(self._links)
+        idx = next((t for t, ln in enumerate(self._links) if ln.c < len(ln.leaves)), len(self._links))
+        if idx == len(self._links):
             self._build_link(idx + 1)
         target = self._links[idx]
         run = self._I.drain(vec)
         self._imirror.clear()
-        for j in range(idx):
-            ln = self._links[j]
+        for ln in self._links[: idx + 1]:
             run.extend(ln.A.drain(vec))
             run.extend(ln.B.drain(vec))
             for r in ln.internals:
                 if r.count:
                     run.extend(r.drain(vec))
-            for t in range(ln.c):
-                if ln.leaves[t].count:
-                    run.extend(ln.leaves[t].drain(vec))
-            ln.c = 0
-        run.extend(target.A.drain(vec))
-        run.extend(target.B.drain(vec))
-        for r in target.internals:
-            if r.count:
-                run.extend(r.drain(vec))
+            if ln is not target:
+                for leaf in ln.leaves[: ln.c]:
+                    if leaf.count:
+                        run.extend(leaf.drain(vec))
+                ln.c = 0
         run.sort()
         leaf = target.leaves[target.c]
         if len(run) > leaf.cap:
@@ -415,7 +380,7 @@ class FunnelHeap:
             assert 0 <= ring.count <= ring.cap
         assert total == self._n, f"live count {self._n} != stored {total}"
         for ln in self._links:
-            assert 0 <= ln.c <= ln.k
+            assert 0 <= ln.c <= len(ln.leaves)
 
     def _live_items(self) -> list[tuple[int, int]]:
         out = []

@@ -255,14 +255,10 @@ class ExternalGraph:
         hi, _ = self.vector.get2(v + 1)
         return lo, hi
 
-    def arc(self, a: int) -> tuple[int, int]:
-        return self.vector.get2(self.vertex_count + 1 + a)
-
-    def neighbors(self, v: int):
-        lo, hi = self.arc_range(v)
+    def arcs(self, lo: int, hi: int) -> list[tuple[int, int]]:
+        """Arcs lo..hi-1 as (target, weight) pairs, in one run read."""
         base = self.vertex_count + 1
-        for a in range(lo, hi):
-            yield self.vector.get2(base + a)
+        return self.vector.read_run2(base + lo, base + hi)
 
     def source_of_arc(self, a: int) -> int:
         """Vertex whose arc list contains arc index a (binary search on offsets)."""

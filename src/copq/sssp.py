@@ -99,9 +99,7 @@ def sssp_binary(
         v, d = h.delete_min()
         dist[v] = d
         order.append(v)
-        lo, hi = eg.arc_range(v)
-        for a in range(lo, hi):
-            t, w = eg.arc(a)
+        for t, w in eg.arcs(*eg.arc_range(v)):
             if dist[t] is not None:
                 continue
             nk = d + w
@@ -137,9 +135,7 @@ def sssp_funnel(
         visited[v] = 1
         dist[v] = d
         order.append(v)
-        lo, hi = eg.arc_range(v)
-        for a in range(lo, hi):
-            t, w = eg.arc(a)
+        for t, w in eg.arcs(*eg.arc_range(v)):
             if not visited[t]:
                 h.insert(t, d + w)
                 inserts += 1
@@ -208,8 +204,7 @@ def sssp_bucket(
         dist[v] = d
         order.append(v)
         lo, hi = eg.arc_range(v)
-        for a in range(lo, hi):
-            t, w = eg.arc(a)
+        for a, (t, w) in enumerate(eg.arcs(lo, hi), lo):
             main.update(t, d + w)
             guard.update(a, d + w)  # guard named by arc index; kills v's re-insertions
         # apply the tying guards again, after the relaxations

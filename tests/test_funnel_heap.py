@@ -68,6 +68,41 @@ class TestSweep:
             inserted.append((k, i))
         assert h._live_items() == sorted(inserted)
 
+    def test_layout_tiles_the_vector_and_producers_wire_the_funnel(self):
+        h = make()
+        rng = random.Random(4)
+        i = 0
+        while len(h._links) < 4:
+            h.insert(i, rng.getrandbits(20))
+            i += 1
+            if i % 3 == 0:
+                h.delete_min()
+        # the insertion buffer and every link's A, B, internals and leaves
+        # cover [0, len(vector)) with no gap and no overlap
+        pos = 0
+        for start, cap in sorted((r.start, r.cap) for r in h._all_rings()):
+            assert start == pos
+            pos += cap
+        assert pos == len(h.vector)
+
+        def inputs(ring):  # the producer-less rings a merger tree reads
+            m = ring.producer
+            return [ring] if m is None else inputs(m.left) + inputs(m.right)
+
+        assert h._I.producer is None
+        for j, ln in enumerate(h._links):
+            for r in [ln.A, ln.B, *ln.internals]:
+                assert r.producer.out is r
+            assert all(leaf.producer is None for leaf in ln.leaves)
+            assert inputs(ln.B) == ln.leaves
+            assert ln.A.producer.left is ln.B
+            right = ln.A.producer.right
+            if j + 1 < len(h._links):
+                assert right is h._links[j + 1].A
+            else:
+                assert right.cap == 0 and right.producer is None
+        h.check_invariants()
+
     def test_link_growth_is_geometric(self):
         prev_total = 0
         for num in range(1, 7):

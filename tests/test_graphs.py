@@ -140,7 +140,7 @@ class TestExternalGraph:
         g = gen_gnp(GnpSpec(n=120, seed=9))
         eg = load_csr(g)
         for v in range(g.vertex_count):
-            assert list(eg.neighbors(v)) == list(g.neighbors(v))
+            assert eg.arcs(*eg.arc_range(v)) == list(g.neighbors(v))
 
     def test_cold_arc_scan_read_count(self):
         g = gen_gnp(GnpSpec(n=400, seed=11))
@@ -149,12 +149,26 @@ class TestExternalGraph:
         eg.vector.drop_cache()
         eg.vector.reset_stats()
         base = g.vertex_count + 1
-        for a in range(g.arc_count):
-            eg.arc(a)
+        assert len(eg.arcs(0, g.arc_count)) == g.arc_count
         rpb = cfg.records_per_block
         first_block = base // rpb
         last_block = (base + g.arc_count - 1) // rpb
         assert eg.vector.stats().block_reads == last_block - first_block + 1
+
+    def test_arcs_count_like_per_record_reads(self):
+        # every neighbourhood in ascending, then in scrambled order, through a
+        # 3-block cache: the scan faults and evicts, and its counts depend on
+        # the order in which each run's blocks are touched
+        g = gen_gnp(GnpSpec(n=300, seed=5))
+        n = g.vertex_count
+        order = list(range(n)) + random.Random(5).sample(range(n), n)
+        run_eg, rec_eg = (ExternalGraph(g, EmConfig(3 * 256, 256, 16)) for _ in range(2))
+        base = n + 1
+        for v in order:
+            lo, hi = run_eg.arc_range(v)
+            assert run_eg.arcs(lo, hi) == [rec_eg.vector.get2(base + a) for a in range(*rec_eg.arc_range(v))]
+        assert rec_eg.vector.stats().evictions > 0
+        assert run_eg.vector.stats() == rec_eg.vector.stats()
 
     @pytest.mark.parametrize("targets,weights", [([1 << 64], [5]), ([1], [1 << 64]), ([1], [-1])])
     def test_record_overflow_raises_value_error(self, targets, weights):

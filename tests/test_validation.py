@@ -30,7 +30,7 @@ def rejected(call, *args):
 
 
 def binary_contents(h):
-    return dict(h.heap.peek2(slot) for slot in range(len(h)))
+    return {ident: key for key, ident in map(h.heap.peek2, range(len(h)))}
 
 
 @given(trace(7))
