@@ -11,7 +11,7 @@ toward the smaller id.
 
 from __future__ import annotations
 
-from .emcore import U64, BlockVector, EmConfig, DEFAULT_BLOCK_BYTES, DEFAULT_CACHE_BYTES
+from .emcore import BlockVector, EmConfig, DEFAULT_BLOCK_BYTES, DEFAULT_CACHE_BYTES, u64
 
 
 class BinaryHeap:
@@ -51,8 +51,7 @@ class BinaryHeap:
         self.positions.set1(ident, slot_plus1)
 
     def insert(self, ident: int, key: int) -> None:
-        if not (0 <= ident < U64 and 0 <= key < U64):
-            raise ValueError(f"id {ident} and key {key} must lie in [0, 2^64)")
+        ident, key = u64(ident, "id"), u64(key, "key")
         if self._pos_get(ident):
             raise ValueError(f"id {ident} is already live in the heap")
         i = self._n
@@ -76,14 +75,13 @@ class BinaryHeap:
         self.heap.truncate(self._n - 1)
         self._n -= 1
         if self._n:
-            self.heap.set2(0, last[0], last[1])
+            self.heap.put2(0, last)
             self._pos_set(last[1], 1)
             self._sift_down(0, last)
         return ident, key
 
     def decrease_key(self, ident: int, new_key: int) -> None:
-        if not (0 <= ident < U64 and 0 <= new_key < U64):
-            raise ValueError(f"id {ident} and key {new_key} must lie in [0, 2^64)")
+        ident, new_key = u64(ident, "id"), u64(new_key, "key")
         p = self._pos_get(ident)
         if not p:
             raise KeyError(f"id {ident} not live in the heap")
@@ -93,13 +91,13 @@ class BinaryHeap:
             raise ValueError(f"decrease_key to {new_key} would raise key {cur}")
         if new_key == cur:
             return
-        self.heap.set2(i, new_key, ident)
-        self._sift_up(i, (new_key, ident))
+        item = (new_key, ident)
+        self.heap.put2(i, item)
+        self._sift_up(i, item)
 
     def current_key(self, ident: int) -> int | None:
         """Key of a live id, or None. Costs the position + heap reads."""
-        if not 0 <= ident < U64:
-            raise ValueError(f"id {ident} must lie in [0, 2^64)")
+        ident = u64(ident, "id")
         p = self._pos_get(ident)
         if not p:
             return None
@@ -112,10 +110,10 @@ class BinaryHeap:
             p = heap.get2(parent)
             if p <= item:
                 break
-            heap.set2(i, p[0], p[1])
+            heap.put2(i, p)
             pos.set1(p[1], i + 1)
             i = parent
-        heap.set2(i, item[0], item[1])
+        heap.put2(i, item)
         pos.set1(item[1], i + 1)
 
     def _sift_down(self, i: int, item: tuple[int, int]) -> None:
@@ -134,10 +132,10 @@ class BinaryHeap:
                     child, c = right, r
             if item <= c:
                 break
-            heap.set2(i, c[0], c[1])
+            heap.put2(i, c)
             pos.set1(c[1], i + 1)
             i = child
-        heap.set2(i, item[0], item[1])
+        heap.put2(i, item)
         pos.set1(item[1], i + 1)
 
     def check_invariants(self) -> None:

@@ -18,7 +18,7 @@ kills any stale deeper copy before it can surface.
 
 from __future__ import annotations
 
-from .emcore import U64, BlockVector, EmConfig, DEFAULT_BLOCK_BYTES, DEFAULT_CACHE_BYTES
+from .emcore import BlockVector, EmConfig, DEFAULT_BLOCK_BYTES, DEFAULT_CACHE_BYTES, u64
 
 DELETE_KEY = (1 << 64) - 1  # signal-key sentinel marking a delete
 INF = (1 << 64) - 1  # splitter value meaning "accepts any key"
@@ -67,16 +67,12 @@ class BucketHeap:
     # -- public operations ----------------------------------------------------
 
     def update(self, ident: int, key: int) -> None:
-        if not (0 <= ident < U64 and 0 <= key < DELETE_KEY):
-            raise ValueError(f"id {ident} must lie in [0, 2^64) and key {key} in [0, 2^64-2]")
-        self._signal(ident, key)
+        self._signal(u64(ident, "id"), u64(key, "key", DELETE_KEY))
 
     insert = update  # the shared heap surface: insert(id, key)
 
     def delete(self, ident: int) -> None:
-        if not 0 <= ident < U64:
-            raise ValueError(f"id {ident} must lie in [0, 2^64)")
-        self._signal(ident, DELETE_KEY)
+        self._signal(u64(ident, "id"), DELETE_KEY)
 
     def find_min(self) -> tuple[int, int] | None:
         """Resolve pending signals until the top bucket provably holds the global
@@ -114,7 +110,7 @@ class BucketHeap:
         if not self._levels:
             self._add_level()
         top = self._levels[0]
-        self.vector.set2(top.sstart + top.scount, key, ident)
+        self.vector.put2(top.sstart + top.scount, (key, ident))
         top.scount += 1
         self.stored += 1
         if top.scount > signal_capacity(1):
@@ -134,28 +130,30 @@ class BucketHeap:
         self.stored -= lv.scount + lv.bcount
         lv.scount = 0
         lo = lv.bstart + lv.bhead
-        d = {ident: key for key, ident in vec.read_run2(lo, lo + lv.bcount)}
+        # id -> its (key, id) record; a signal that wins is stored as it is
+        d = {rec[1]: rec for rec in vec.read_run2(lo, lo + lv.bcount)}
         deepest = li == len(self._levels) - 1
         out: list[tuple[int, int]] = []  # (key, id) signals for the next level
-        for skey, sid in signals:
+        for sig in signals:
+            skey, sid = sig
             if skey == DELETE_KEY:
                 if sid in d:
                     del d[sid]
                 elif not deepest:
-                    out.append((DELETE_KEY, sid))
+                    out.append(sig)
             else:
                 cur = d.get(sid)
                 if cur is not None:
-                    if skey < cur:
-                        d[sid] = skey
+                    if skey < cur[0]:
+                        d[sid] = sig
                 elif skey <= lv.splitter:
-                    d[sid] = skey
+                    d[sid] = sig
                     if not deepest:
                         # chase a possible stale copy of sid in deeper levels
                         out.append((DELETE_KEY, sid))
                 else:
-                    out.append((skey, sid))
-        items = sorted(zip(d.values(), d))
+                    out.append(sig)
+        items = sorted(d.values())
         if len(items) > lv.bcap:
             out.extend(items[lv.bcap :])
             del items[lv.bcap :]

@@ -6,37 +6,55 @@ blocks under exact LRU replacement, and every block moved between the
 cache and the backing store is counted. Counters stand in for wall-clock
 I/O wait: identical operation sequences always produce identical counts.
 
-Block bytes live in memory, in one table from block id to bytearray. A block
-gets zeroed bytes at its first touch, read or write, and gives them up when
-``truncate`` drops it, so untouched and dropped records read as zeros. Which
-blocks hold bytes decides no count: the counters follow the LRU cache alone.
+A block's records live in memory as values, in one table from block id to a
+list of ``records_per_block`` records: a 16-byte record is an ``(a, k)``
+tuple, an 8-byte record an int, any other size a ``bytes`` object. No
+accessor packs or unpacks: ``get2`` returns the tuple that ``put2`` stored.
+A block gets the zero record in every slot at its first touch, read or
+write, and gives its list up when ``truncate`` drops it, so untouched and
+dropped records read as zero. Which blocks hold a list decides no count:
+the counters follow the LRU cache alone. The vector checks indices and
+record sizes, not values: the heaps and ``ExternalGraph`` check what they
+store where values enter the library, and the bytes-level ``get``/``set``
+pack and unpack 16- and 8-byte records as unsigned 64-bit fields.
 
 The record accessors are written for throughput: the LRU bump is inlined
 and repeated touches of the same block skip the bookkeeping entirely (a
 repeated touch cannot change LRU order or fault counts). The run accessors
-``read_run2``/``write_run2`` move a contiguous range of records at once:
-they touch each block of the range once, in ascending order, and count
-exactly like the per-record ``get2``/``set2`` loop over the same range.
+``read_run2``/``write_run2`` move a contiguous range of records at once, one
+list slice per block: they touch each block of the range once, in ascending
+order, and count exactly like the per-record ``get2``/``put2`` loop over the
+same range.
 """
 
 from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
-from itertools import chain
+from operator import index
 
 _PAIR = struct.Struct("<QQ")
 _ONE = struct.Struct("<Q")
-_pack_pair = _PAIR.pack_into
-_unpack_pair = _PAIR.unpack_from
-_pack_one = _ONE.pack_into
-_unpack_one = _ONE.unpack_from
-_unpack_pairs = _PAIR.iter_unpack
 
 MB = 1024 * 1024
 U64 = 1 << 64  # record fields are unsigned 64-bit: ids and keys lie in [0, U64)
 DEFAULT_CACHE_BYTES = 16 * MB
 DEFAULT_BLOCK_BYTES = 4096
+
+
+def u64(value, what: str, limit: int = U64) -> int:
+    """value as an int in [0, limit), else ValueError.
+
+    Takes what a 64-bit record field can hold: ints, bools and objects with
+    ``__index__``. The heaps call it on every id and key before any mutation.
+    """
+    try:
+        v = index(value)
+    except TypeError:
+        raise ValueError(f"{what} {value!r} is not an integer") from None
+    if not 0 <= v < limit:
+        raise ValueError(f"{what} {v} must lie in [0, {'2^64' if limit == U64 else limit})")
+    return v
 
 
 @dataclass(frozen=True)
@@ -102,7 +120,7 @@ class BlockVector:
         "config",
         "_rpb",
         "_rb",
-        "_bb",
+        "_zero",
         "_frames",
         "_length",
         "_blocks",
@@ -117,14 +135,15 @@ class BlockVector:
     def __init__(self, config: EmConfig):
         self.config = config
         self._rpb = config.records_per_block
-        self._rb = config.record_bytes
-        self._bb = config.block_bytes
+        self._rb = rb = config.record_bytes
+        # the one shared zero record: fills new blocks and truncated tails
+        self._zero = (0, 0) if rb == 16 else 0 if rb == 8 else bytes(rb)
         self._frames = config.frame_count
         self._length = 0
-        self._blocks: dict[int, bytearray] = {}  # block id -> bytes, touched and not dropped
+        self._blocks: dict[int, list] = {}  # block id -> records, touched and not dropped
         self._resident: dict[int, bool] = {}  # block id -> dirty, insertion order = LRU order
         self._last_block = -1  # forces the first access through _switch
-        self._last_data = bytearray()
+        self._last_data: list = []
         self.reads = 0
         self.writes = 0
         self.evictions = 0
@@ -148,26 +167,29 @@ class BlockVector:
             res[b] = dirty
         else:
             res[b] = d or dirty
-        # first touch, or a resident block that truncate dropped: zeroed bytes
+        # first touch, or a resident block that truncate dropped: zero records
         data = self._blocks.get(b)
         if data is None:
-            data = self._blocks[b] = bytearray(self._bb)
+            data = self._blocks[b] = [self._zero] * self._rpb
         self._last_block = b
         self._last_data = data
 
     # -- record access ----------------------------------------------------------
 
     def get(self, i: int) -> bytes:
+        """Record i as its bytes: 16- and 8-byte records packed as little-endian
+        unsigned 64-bit fields."""
         if not 0 <= i < self._length:
             raise IndexError(f"record index {i} out of range [0, {self._length})")
-        rb = self._rb
         b = i // self._rpb
         if b != self._last_block:
             self._switch(b, False)
-        off = (i - b * self._rpb) * rb
-        return bytes(self._last_data[off : off + rb])
+        rec = self._last_data[i - b * self._rpb]
+        rb = self._rb
+        return _PAIR.pack(*rec) if rb == 16 else _ONE.pack(rec) if rb == 8 else rec
 
     def set(self, i: int, record: bytes) -> None:
+        """Store a record given as its bytes (the inverse of get)."""
         if not 0 <= i < self._length:
             raise IndexError(f"record index {i} out of range [0, {self._length})")
         rb = self._rb
@@ -178,25 +200,27 @@ class BlockVector:
             self._switch(b, True)
         else:
             self._resident[b] = True
-        off = (i - b * self._rpb) * rb
-        self._last_data[off : off + rb] = record
+        rec = _PAIR.unpack(record) if rb == 16 else _ONE.unpack(record)[0] if rb == 8 else bytes(record)
+        self._last_data[i - b * self._rpb] = rec
 
-    # Typed accessors for the two record shapes the library itself uses.
-    # They skip the bytes round trip; accounting is identical to get/set.
+    # Value accessors for the two record shapes the library itself uses:
+    # (a, k) tuples in 16-byte vectors, ints in 8-byte ones. Accounting is
+    # identical to get/set.
 
     def get2(self, i: int) -> tuple[int, int]:
         if self._rb != 16:
-            raise TypeError("get2/set2 require 16-byte records")
+            raise TypeError("get2/put2 require 16-byte records")
         if not 0 <= i < self._length:
             raise IndexError(f"record index {i} out of range [0, {self._length})")
         b = i // self._rpb
         if b != self._last_block:
             self._switch(b, False)
-        return _unpack_pair(self._last_data, (i - b * self._rpb) * 16)
+        return self._last_data[i - b * self._rpb]
 
-    def set2(self, i: int, a: int, k: int) -> None:
+    def put2(self, i: int, rec: tuple[int, int]) -> None:
+        """Store the (a, k) tuple rec at record i; the vector keeps rec itself."""
         if self._rb != 16:
-            raise TypeError("get2/set2 require 16-byte records")
+            raise TypeError("get2/put2 require 16-byte records")
         if not 0 <= i < self._length:
             raise IndexError(f"record index {i} out of range [0, {self._length})")
         b = i // self._rpb
@@ -204,11 +228,14 @@ class BlockVector:
             self._switch(b, True)
         else:
             self._resident[b] = True
-        _pack_pair(self._last_data, (i - b * self._rpb) * 16, a, k)
+        self._last_data[i - b * self._rpb] = rec
+
+    def set2(self, i: int, a: int, k: int) -> None:
+        self.put2(i, (a, k))
 
     def read_run2(self, lo: int, hi: int) -> list[tuple[int, int]]:
-        """Records lo..hi-1 as (a, k) pairs. Touches and counts exactly like
-        get2 over the range, but visits each block once."""
+        """Records lo..hi-1 as (a, k) pairs, in a new list. Touches and counts
+        exactly like get2 over the range, but visits each block once."""
         if self._rb != 16:
             raise TypeError("read_run2/write_run2 require 16-byte records")
         if not 0 <= lo <= hi <= self._length:
@@ -221,14 +248,15 @@ class BlockVector:
             end = min(hi, (b + 1) * rpb)
             if b != self._last_block:
                 self._switch(b, False)
-            off = (i - b * rpb) * 16
-            out.extend(_unpack_pairs(self._last_data[off : off + (end - i) * 16]))
+            off = i - b * rpb
+            out += self._last_data[off : off + end - i]
             i = end
         return out
 
     def write_run2(self, lo: int, pairs: list[tuple[int, int]]) -> None:
         """Store pairs at records lo, lo+1, ... Touches, dirties and counts
-        exactly like set2 over the range, but visits each block once."""
+        exactly like put2 over the range, but visits each block once. The
+        vector keeps the tuples, not the list."""
         if self._rb != 16:
             raise TypeError("read_run2/write_run2 require 16-byte records")
         hi = lo + len(pairs)
@@ -243,13 +271,13 @@ class BlockVector:
                 self._switch(b, True)
             else:
                 self._resident[b] = True
-            flat = chain.from_iterable(pairs[i - lo : end - lo])
-            struct.pack_into(f"<{2 * (end - i)}Q", self._last_data, (i - b * rpb) * 16, *flat)
+            off = i - b * rpb
+            self._last_data[off : off + end - i] = pairs[i - lo : end - lo]
             i = end
 
     def push2(self, a: int, k: int) -> None:
         self._length += 1
-        self.set2(self._length - 1, a, k)
+        self.put2(self._length - 1, (a, k))
 
     def get1(self, i: int) -> int:
         if self._rb != 8:
@@ -259,7 +287,7 @@ class BlockVector:
         b = i // self._rpb
         if b != self._last_block:
             self._switch(b, False)
-        return _unpack_one(self._last_data, (i - b * self._rpb) * 8)[0]
+        return self._last_data[i - b * self._rpb]
 
     def set1(self, i: int, v: int) -> None:
         if self._rb != 8:
@@ -271,17 +299,14 @@ class BlockVector:
             self._switch(b, True)
         else:
             self._resident[b] = True
-        _pack_one(self._last_data, (i - b * self._rpb) * 8, v)
-
-    def peek1(self, i: int) -> int:
-        """Stat-free read of an 8-byte record, for invariant checkers."""
-        b = i // self._rpb
-        return _unpack_one(self._blocks.get(b) or bytes(self._bb), (i - b * self._rpb) * 8)[0]
+        self._last_data[i - b * self._rpb] = v
 
     def peek2(self, i: int) -> tuple[int, int]:
         """Stat-free read for invariant checkers; never faults, never counts."""
-        b = i // self._rpb
-        return _unpack_pair(self._blocks.get(b) or bytes(self._bb), (i - b * self._rpb) * 16)
+        data = self._blocks.get(i // self._rpb)
+        return self._zero if data is None else data[i % self._rpb]
+
+    peek1 = peek2  # the same read of an 8-byte record
 
     # -- length management --------------------------------------------------------
 
@@ -293,8 +318,9 @@ class BlockVector:
 
     def truncate(self, n: int) -> None:
         """Shrink logical length to n records without I/O. A wholly dropped block
-        gives up its bytes and the dropped tail of a partial block is zeroed, so
-        the dropped records read as zero if the vector is later re-extended."""
+        gives up its records and the dropped tail of a partial block is reset
+        to the zero record, so the dropped records read as zero if the vector
+        is later re-extended."""
         if n > self._length:
             raise ValueError(f"cannot truncate to {n}: length is {self._length}")
         if n < 0:
@@ -307,16 +333,15 @@ class BlockVector:
         if lo:
             data = self._blocks.get(b)
             if data is not None:
-                off = lo * self._rb
-                data[off:] = bytes(self._bb - off)
+                data[lo:] = [self._zero] * (self._rpb - lo)
             b += 1
         for d in range(b, (old - 1) // self._rpb + 1):
             self._blocks.pop(d, None)
         # the dropped blocks keep their LRU slot and dirty flag, so counts do
-        # not change; only the fast path must stop pointing at their bytes
+        # not change; only the fast path must stop pointing at their records
         if self._last_block >= b:
             self._last_block = -1
-            self._last_data = bytearray()
+            self._last_data = []
 
     # -- counters ---------------------------------------------------------------------
 

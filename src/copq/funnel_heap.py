@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from bisect import bisect_right
 
-from .emcore import U64, BlockVector, EmConfig, DEFAULT_BLOCK_BYTES, DEFAULT_CACHE_BYTES
+from .emcore import BlockVector, EmConfig, DEFAULT_BLOCK_BYTES, DEFAULT_CACHE_BYTES, u64
 
 _INSERTION_CAP = 8  # s_1; also the insertion buffer capacity
 
@@ -116,7 +116,7 @@ class _Ring:
         pos = self.head + i
         if pos >= self.cap:
             pos -= self.cap
-        vec.set2(self.start + pos, item[0], item[1])
+        vec.put2(self.start + pos, item)
 
     def drain(self, vec: BlockVector) -> list[tuple[int, int]]:
         """Empty the ring, returning its records: one run up to the end of
@@ -164,8 +164,8 @@ class _Merger:
         # False marks a side whose whole subtree is (currently) empty.
         # Ring steps are inlined with the output cursor in locals; out.count
         # is stored back before a child fills and at the end. Not batched:
-        # one get2/set2 per step, in stream order, which sets the LRU order.
-        get2, set2 = vec.get2, vec.set2
+        # one get2/put2 per step, in stream order, which sets the LRU order.
+        get2, put2 = vec.get2, vec.put2
         out = self.out
         want = self.batch
         ostart, ocap, ocount = out.start, out.cap, out.count
@@ -194,7 +194,7 @@ class _Merger:
                 rhead = None
             else:
                 break
-            set2(ostart + opos, item[0], item[1])
+            put2(ostart + opos, item)
             opos += 1
             if opos == ocap:
                 opos = 0
@@ -261,8 +261,7 @@ class FunnelHeap:
         return {"funnel": self.vector}
 
     def insert(self, ident: int, key: int) -> None:
-        if not (0 <= ident < U64 and 0 <= key < U64):
-            raise ValueError(f"id {ident} and key {key} must lie in [0, 2^64)")
+        ident, key = u64(ident, "id"), u64(key, "key")
         I = self._I
         if I.count == I.cap:
             self._sweep()

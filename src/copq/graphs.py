@@ -10,8 +10,9 @@ work instead of enumerating all n(n-1)/2 pairs.
 from __future__ import annotations
 
 import math
-import struct
+from array import array
 from dataclasses import dataclass
+from itertools import accumulate
 
 from .emcore import BlockVector, EmConfig, DEFAULT_BLOCK_BYTES, DEFAULT_CACHE_BYTES
 
@@ -119,30 +120,55 @@ def gen_gnp(spec: GnpSpec) -> Graph:
 
     Each unordered pair {u,v} is kept independently with probability p; a
     kept edge gets one weight and two arcs. Deterministic per seed.
+
+    The CSR is built directly: the kept edges are listed in generation
+    order, the vertex degrees give the offsets, and one pass over the edges
+    places arc (u,v) and then arc (v,u), so each vertex's arcs keep their
+    arrival order. Every arc names one shared int object per vertex id and
+    per weight value.
     """
     rng = SplitMix64(spec.seed)
-    n, p = spec.n, spec.p
-    arcs: list[tuple[int, int, int]] = []
+    n, p, wmax = spec.n, spec.p, spec.weight_max
+    vertex = list(range(n))
+    weight: dict[int, int] = {}
+    ends: list[int] = []  # u0, v0, u1, v1, ...: the kept edges in generation order
+    wts: list[int] = []
     if p >= 1.0:
-        for u in range(n):
-            for v in range(u + 1, n):
-                w = rng.randint(1, spec.weight_max)
-                arcs.append((u, v, w))
-                arcs.append((v, u, w))
-        return Graph.from_arcs(n, arcs)
-    if p > 0.0:
+        for u in vertex:
+            for v in vertex[u + 1 :]:
+                w = rng.randint(1, wmax)
+                ends += (u, v)
+                wts.append(weight.setdefault(w, w))
+    elif p > 0.0:
         log1mp = math.log1p(-p)
-        for u in range(n):
+        for u in vertex:
             v = u
             while True:
                 u01 = 1.0 - rng.random()  # (0, 1]
                 v += 1 + int(math.log(u01) / log1mp)
                 if v >= n:
                     break
-                w = rng.randint(1, spec.weight_max)
-                arcs.append((u, v, w))
-                arcs.append((v, u, w))
-    return Graph.from_arcs(n, arcs)
+                w = rng.randint(1, wmax)
+                ends += (u, vertex[v])
+                wts.append(weight.setdefault(w, w))
+    degree = [0] * n
+    for u in ends:
+        degree[u] += 1
+    offsets = [0, *accumulate(degree)]
+    targets = [0] * len(ends)
+    weights = [0] * len(ends)
+    cursor = offsets[:-1]
+    it = iter(ends)
+    for u, v, w in zip(it, it, wts):
+        a = cursor[u]
+        targets[a] = v
+        weights[a] = w
+        cursor[u] = a + 1
+        a = cursor[v]
+        targets[a] = u
+        weights[a] = w
+        cursor[v] = a + 1
+    return Graph(offsets, targets, weights)
 
 
 class DimacsError(ValueError):
@@ -231,24 +257,31 @@ class ExternalGraph:
     def __init__(self, g: Graph, config: EmConfig):
         if config.record_bytes != 16:
             raise ValueError("ExternalGraph needs 16-byte records")
+        offsets, targets, weights = g.offsets, g.targets, g.weights
+        for xs in (offsets, targets, weights):
+            # the vector stores the values as they are, so each list is
+            # checked here in two C-speed passes: in [0, 2^64), and ints only
+            try:
+                array("Q", xs)
+                ok = set(map(type, xs)) <= {int}  # no bool, no __index__ object
+            except (TypeError, OverflowError):
+                ok = False
+            if not ok:
+                raise ValueError("offsets, targets and weights must be integers in [0, 2^64)")
         self.vector = BlockVector(config)
         self.vertex_count = g.vertex_count
         self.arc_count = g.arc_count
         self.source = g
         vec = self.vector
         vec.extend(g.vertex_count + 1 + g.arc_count)
-        # written one block's worth of records at a time, so no list of the
-        # whole graph's records is built next to the Graph itself
+        # written one block's worth of records at a time, so no list of all
+        # the graph's records is built beside the vector's own block lists
         step = config.records_per_block
-        offsets, targets, weights = g.offsets, g.targets, g.weights
-        try:
-            for lo in range(0, len(offsets), step):
-                vec.write_run2(lo, [(off, 0) for off in offsets[lo : lo + step]])
-            base = len(offsets)
-            for lo in range(0, g.arc_count, step):
-                vec.write_run2(base + lo, list(zip(targets[lo : lo + step], weights[lo : lo + step])))
-        except struct.error:
-            raise ValueError("offsets, targets and weights must be integers in [0, 2^64)") from None
+        for lo in range(0, len(offsets), step):
+            vec.write_run2(lo, [(off, 0) for off in offsets[lo : lo + step]])
+        base = len(offsets)
+        for lo in range(0, g.arc_count, step):
+            vec.write_run2(base + lo, list(zip(targets[lo : lo + step], weights[lo : lo + step])))
 
     def arc_range(self, v: int) -> tuple[int, int]:
         lo, _ = self.vector.get2(v)

@@ -5,6 +5,9 @@ code paths it validates.
 """
 
 import heapq
+import math
+
+from copq.graphs import Graph, SplitMix64
 
 
 class RefLru:
@@ -141,3 +144,38 @@ def bellman_ford(graph, source):
         if not changed:
             break
     return [None if d == inf else d for d in dist]
+
+
+def gen_gnp_reference(spec):
+    """G(n, p) built the way the library first built it: every arc as a
+    (source, target, weight) triple in generation order, then per-vertex
+    (target, weight) lists flattened into CSR. Same stream of SplitMix64
+    draws as copq.graphs.gen_gnp, so the two graphs must be equal."""
+    rng = SplitMix64(spec.seed)
+    n, p = spec.n, spec.p
+    arcs = []
+    if p >= 1.0:
+        for u in range(n):
+            for v in range(u + 1, n):
+                w = rng.randint(1, spec.weight_max)
+                arcs += [(u, v, w), (v, u, w)]
+    elif p > 0.0:
+        log1mp = math.log1p(-p)
+        for u in range(n):
+            v = u
+            while True:
+                v += 1 + int(math.log(1.0 - rng.random()) / log1mp)
+                if v >= n:
+                    break
+                w = rng.randint(1, spec.weight_max)
+                arcs += [(u, v, w), (v, u, w)]
+    adj = [[] for _ in range(n)]
+    for u, v, w in arcs:
+        adj[u].append((v, w))
+    offsets, targets, weights = [0], [], []
+    for u in range(n):
+        for v, w in adj[u]:
+            targets.append(v)
+            weights.append(w)
+        offsets.append(len(targets))
+    return Graph(offsets, targets, weights)

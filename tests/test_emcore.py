@@ -1,10 +1,13 @@
 import random
+import struct
 import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from copq.binary_heap import BinaryHeap
 from copq.emcore import BlockVector, EmConfig, IoStats, MB
+from copq.funnel_heap import FunnelHeap
 
 from oracles import RefLru
 
@@ -170,21 +173,38 @@ class TestBasicSemantics:
 class TestArrayOracle:
     def run_trace(self, v, rng, steps):
         oracle = []
+
+        def pair():
+            return rng.getrandbits(64), rng.getrandbits(64)
+
         for _ in range(steps):
             op = rng.random()
-            if op < 0.4 or not oracle:
-                a, k = rng.getrandbits(64), rng.getrandbits(64)
+            if op < 0.35 or not oracle:
+                a, k = pair()
                 v.push2(a, k)
                 oracle.append((a, k))
-            elif op < 0.65:
+            elif op < 0.55:
                 i = rng.randrange(len(oracle))
                 assert v.peek2(i) == oracle[i]  # first, while the block may be out of cache
                 assert v.get2(i) == oracle[i]
-            elif op < 0.85:
+            elif op < 0.65:
                 i = rng.randrange(len(oracle))
-                a, k = rng.getrandbits(64), rng.getrandbits(64)
+                a, k = pair()
                 v.set2(i, a, k)
                 oracle[i] = (a, k)
+            elif op < 0.75:
+                i = rng.randrange(len(oracle))
+                oracle[i] = pair()
+                v.put2(i, oracle[i])
+            elif op < 0.82:
+                lo = rng.randrange(len(oracle) + 1)
+                hi = rng.randint(lo, min(len(oracle), lo + 12))
+                assert v.read_run2(lo, hi) == oracle[lo:hi]
+            elif op < 0.89:
+                lo = rng.randrange(len(oracle) + 1)
+                run = [pair() for _ in range(rng.randint(0, min(len(oracle) - lo, 12)))]
+                v.write_run2(lo, run)
+                oracle[lo : lo + len(run)] = run
             elif op < 0.95:
                 n = rng.randrange(len(oracle) + 1)
                 v.truncate(n)
@@ -296,6 +316,23 @@ class TestRunAccessors:
         assert v.stats() == before
         assert [v.peek2(i) for i in range(8)] == [(0, 0)] * 7 + [(1, 2)]
 
+    def test_runs_copy_records_in_and_out(self):
+        # the vector keeps the tuples, never the caller's list, and hands out
+        # a new list: mutating either list leaves the vector as it was
+        v = make(cache=2 * 64, block=64, rec=16)
+        v.extend(10)
+        pairs = [(i, i + 1) for i in range(10)]
+        v.write_run2(0, pairs)
+        pairs[3] = (99, 99)
+        pairs.clear()
+        got = v.read_run2(2, 7)
+        got[0] = (55, 55)
+        got.append((66, 66))
+        want = [(i, i + 1) for i in range(10)]
+        assert v.read_run2(0, 10) == want
+        assert [v.peek2(i) for i in range(10)] == want
+        assert v.get(2) == struct.pack("<QQ", 2, 3)
+
     def test_eight_byte_vector_rejected(self):
         v = make(rec=8)
         v.extend(4)
@@ -304,6 +341,54 @@ class TestRunAccessors:
         with pytest.raises(TypeError):
             v.write_run2(0, [(1, 1)])
         assert v.stats() == IoStats()
+
+
+class TestBytesBoundary:
+    """get/set see a record as its bytes; the vector holds it as a value."""
+
+    @pytest.mark.parametrize("rec", [16, 8, 12])
+    def test_set_get_round_trip(self, rec):
+        v = make(rec=rec)
+        v.extend(3)
+        payload = bytes(range(1, rec + 1))
+        v.set(1, payload)
+        assert v.get(1) == payload
+        assert v.get(0) == bytes(rec)
+
+    def test_values_and_bytes_agree(self):
+        v2, v1 = make(rec=16), make(rec=8)
+        v2.extend(2)
+        v1.extend(2)
+        v2.put2(0, (2**64 - 1, 7))
+        v1.set1(0, 2**63 + 5)
+        assert v2.get(0) == struct.pack("<QQ", 2**64 - 1, 7)
+        assert v1.get(0) == struct.pack("<Q", 2**63 + 5)
+        v2.set(1, struct.pack("<QQ", 3, 4))
+        v1.set(1, struct.pack("<Q", 9))
+        assert (v2.get2(1), v1.get1(1)) == ((3, 4), 9)
+
+
+class TestRecordMemory:
+    """Bytes a heap holds per record, by tracemalloc: a record is a tuple of
+    two ints in a block's list (plus, for the binary heap, its position
+    entry). The bounds are the values measured when the record-value layout
+    was introduced (binary 167, funnel 126 B/record at N = 2^14, Python
+    3.11) plus a 25 % margin."""
+
+    @pytest.mark.parametrize("heap,bound", [(BinaryHeap, 210), (FunnelHeap, 160)])
+    def test_bytes_per_record(self, heap, bound):
+        n = 1 << 14
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            h = heap(16 * MB, 4096)
+            for i in range(n):
+                h.insert(i, (i * 0x9E3779B97F4A7C15 >> 16) & (2**48 - 1))
+            held = tracemalloc.get_traced_memory()[0] - base
+        finally:
+            tracemalloc.stop()
+        assert len(h) == n
+        assert held / n <= bound
 
 
 class TestLruOracle:

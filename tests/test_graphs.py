@@ -16,6 +16,8 @@ from copq.graphs import (
     write_dimacs,
 )
 
+from oracles import gen_gnp_reference
+
 
 class TestGnp:
     def test_p_one_single_edge(self):
@@ -62,6 +64,23 @@ class TestGnp:
         g = gen_gnp(GnpSpec(n=200, weight_max=17, seed=3))
         assert g.weights
         assert all(1 <= w <= 17 for w in g.weights)
+
+    # n = 4096 only at the sparse densities: p = 0.3 or 1.0 would mean 5 to
+    # 17 million arcs there, far more than a unit test should build
+    @pytest.mark.parametrize(
+        "n,p",
+        [(n, p) for n in (1, 2, 50) for p in (None, 0.0, 0.3, 1.0)] + [(4096, None), (4096, 0.0)],
+    )
+    @pytest.mark.parametrize("seed", [0, 1, 17])
+    def test_csr_equals_triple_list_construction(self, n, p, seed):
+        spec = GnpSpec(n=n, p=p, seed=seed)
+        assert gen_gnp(spec) == gen_gnp_reference(GnpSpec(n=n, p=p, seed=seed))
+
+    def test_arcs_share_one_int_per_vertex_and_weight(self):
+        g = gen_gnp(GnpSpec(n=2000, weight_max=1000, seed=3))
+        assert g.arc_count > 10 * 2000
+        assert len({id(v) for v in g.targets}) == len(set(g.targets))
+        assert len({id(w) for w in g.weights}) == len(set(g.weights))
 
     def test_splitmix_reference_values(self):
         # first outputs for seed 0 of the published splitmix64 constants
@@ -174,6 +193,21 @@ class TestExternalGraph:
     def test_record_overflow_raises_value_error(self, targets, weights):
         with pytest.raises(ValueError, match="2\\^64"):
             load_csr(Graph([0, 1, 1], targets, weights))
+
+    @pytest.mark.parametrize(
+        "offsets,targets,weights",
+        [
+            ([0, 1, 1], [1], [2.5]),
+            ([0, 1, 1], [1], [3.0]),
+            ([0, 1, 1], [1], [True]),
+            ([0, 1, 1], ["1"], [5]),
+            ([0, 1, 1], [None], [5]),
+            ([0, 1.0, 1], [1], [5]),
+        ],
+    )
+    def test_non_integer_values_raise_value_error(self, offsets, targets, weights):
+        with pytest.raises(ValueError, match="2\\^64"):
+            load_csr(Graph(offsets, targets, weights))
 
     def test_source_of_arc(self):
         g = gen_gnp(GnpSpec(n=64, seed=2))

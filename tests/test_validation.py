@@ -1,6 +1,8 @@
-"""Every heap rejects an id or key outside its range with ValueError, before
-any mutation: after each rejection the structure still passes
-check_invariants() and holds exactly what the oracle holds."""
+"""Every heap rejects an id or key outside its range, or one that is not an
+integer, with ValueError, before any mutation: after each rejection the
+structure still passes check_invariants() and holds exactly what the oracle
+holds. What a 64-bit field takes is accepted and stored as a plain int:
+ints, bools and objects with __index__."""
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -12,7 +14,7 @@ from copq.funnel_heap import FunnelHeap
 
 from oracles import MinMapPQ
 
-BAD = [-1, -(1 << 70), U64, U64 + 12345]  # outside [0, 2^64)
+BAD = [-1, -(1 << 70), U64, U64 + 12345, 2.5, 3.0, "7", None]  # outside [0, 2^64), or no integer
 
 
 def trace(nops):
@@ -112,3 +114,40 @@ def test_bucket_heap_rejects_without_change(ops):
     while len(oracle):
         assert h.delete_min() == oracle.delete_min()
     assert h.find_min() is None
+
+
+class Index:
+    """Not an int, but usable as one through __index__."""
+
+    def __init__(self, value):
+        self.value = value
+
+    def __index__(self):
+        return self.value
+
+
+@pytest.mark.parametrize("heap", [BinaryHeap, FunnelHeap, BucketHeap])
+def test_index_objects_and_bools_stored_as_ints(heap):
+    h = heap(cache_bytes=4 * 256, block_bytes=256)
+    h.insert(Index(3), Index(70))
+    h.insert(True, 50)
+    h.insert(7, Index(60))
+    h.check_invariants()
+    popped = [h.delete_min() for _ in range(3)]
+    assert popped == [(1, 50), (7, 60), (3, 70)]
+    assert all(type(field) is int for record in popped for field in record)
+    assert h.find_min() is None
+
+
+def test_index_objects_in_the_keyed_operations():
+    b = BinaryHeap(cache_bytes=4 * 256, block_bytes=256)
+    b.insert(3, 70)
+    b.decrease_key(Index(3), Index(40))
+    assert b.current_key(Index(3)) == 40
+    assert b.delete_min() == (3, 40)
+    u = BucketHeap(cache_bytes=4 * 256, block_bytes=256)
+    u.update(3, 70)
+    u.update(Index(3), Index(40))
+    u.update(5, 90)
+    u.delete(Index(5))
+    assert u._live_map() == {3: 40}
