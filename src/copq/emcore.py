@@ -24,7 +24,16 @@ repeated touch cannot change LRU order or fault counts). The run accessors
 ``read_run2``/``write_run2`` move a contiguous range of records at once, one
 list slice per block: they touch each block of the range once, in ascending
 order, and count exactly like the per-record ``get2``/``put2`` loop over the
-same range.
+same range. ``peek_run2`` is the stat-free run form of ``peek2``.
+
+The funnel heap's merge reads a block window with ``peek_run2`` and charges
+it by touches: per record, a window touches its out block and the blocks of
+its two inputs, interleaved, over at most three blocks. With at least three
+frames none of them can be evicted before the window ends, so only a block's
+first touch can fault and only its last touch sets its place in the LRU
+order. Touching each block once in first-touch order, then once in
+last-touch order, therefore gives the per-record sequence's reads, writes,
+evictions, dirty flags and LRU order.
 """
 
 from __future__ import annotations
@@ -245,7 +254,9 @@ class BlockVector:
         i = lo
         while i < hi:
             b = i // rpb
-            end = min(hi, (b + 1) * rpb)
+            end = (b + 1) * rpb
+            if end > hi:
+                end = hi
             if b != self._last_block:
                 self._switch(b, False)
             off = i - b * rpb
@@ -266,7 +277,9 @@ class BlockVector:
         i = lo
         while i < hi:
             b = i // rpb
-            end = min(hi, (b + 1) * rpb)
+            end = (b + 1) * rpb
+            if end > hi:
+                end = hi
             if b != self._last_block:
                 self._switch(b, True)
             else:
@@ -307,6 +320,30 @@ class BlockVector:
         return self._zero if data is None else data[i % self._rpb]
 
     peek1 = peek2  # the same read of an 8-byte record
+
+    def peek_run2(self, lo: int, hi: int) -> list[tuple[int, int]]:
+        """Records lo..hi-1 as (a, k) pairs, in a new list: the run form of
+        peek2. Never faults, never counts, leaves the LRU order alone."""
+        if self._rb != 16:
+            raise TypeError("peek_run2 requires 16-byte records")
+        if not 0 <= lo <= hi <= self._length:
+            raise IndexError(f"record run [{lo}, {hi}) out of range [0, {self._length})")
+        rpb = self._rpb
+        out: list[tuple[int, int]] = []
+        i = lo
+        while i < hi:
+            b = i // rpb
+            end = (b + 1) * rpb
+            if end > hi:
+                end = hi
+            data = self._blocks.get(b)
+            if data is None:
+                out += [self._zero] * (end - i)
+            else:
+                off = i - b * rpb
+                out += data[off : off + end - i]
+            i = end
+        return out
 
     # -- length management --------------------------------------------------------
 

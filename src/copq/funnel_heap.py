@@ -112,12 +112,6 @@ class _Ring:
             self.head = 0
         self.count -= 1
 
-    def set_at(self, vec: BlockVector, i: int, item: tuple[int, int]) -> None:
-        pos = self.head + i
-        if pos >= self.cap:
-            pos -= self.cap
-        vec.put2(self.start + pos, item)
-
     def drain(self, vec: BlockVector) -> list[tuple[int, int]]:
         """Empty the ring, returning its records: one run up to the end of
         the region and, if the ring wraps, one from its start."""
@@ -137,12 +131,12 @@ class _Ring:
         vec.write_run2(self.start, run)
 
     def peek_all(self, vec: BlockVector) -> list[tuple[int, int]]:
-        out = []
-        for i in range(self.count):
-            pos = self.head + i
-            if pos >= self.cap:
-                pos -= self.cap
-            out.append(vec.peek2(self.start + pos))
+        """The ring's records, stat-free, in the two runs drain reads."""
+        first = min(self.count, self.cap - self.head)
+        lo = self.start + self.head
+        out = vec.peek_run2(lo, lo + first)
+        if first < self.count:
+            out += vec.peek_run2(self.start, self.start + self.count - first)
         return out
 
 
@@ -160,12 +154,29 @@ class _Merger:
         out.producer = self
 
     def fill(self, vec: BlockVector) -> None:
-        # heads are cached between iterations: one record read per move;
-        # False marks a side whose whole subtree is (currently) empty.
-        # Ring steps are inlined with the output cursor in locals; out.count
-        # is stored back before a child fills and at the end. Not batched:
-        # one get2/put2 per step, in stream order, which sets the LRU order.
-        get2, put2 = vec.get2, vec.put2
+        # A side L (R) is None until its head is read, () while its whole
+        # subtree is empty, else the records of its current block from the
+        # head on, peeked at the head read; li (ri) indexes the head in it.
+        # A head step reads a head with get2, after a child fill if its ring
+        # ran empty; out.count is stored back before a child fills and at the
+        # end. Then a block window moves at once: the outputs up to the first
+        # point where the out ring or a side ring would leave its current
+        # block, wrap or run empty, or the batch is full; the left side wins
+        # ties.
+        #
+        # Exactness: per record, a window touches O S O S ... O (O the out
+        # block, each S the block of the side the output before it consumed)
+        # right after the head step. With at least three frames none of these
+        # blocks, nor the block of the head step's last read (mru), can be
+        # evicted before the window ends, so only a block's first touch can
+        # fault and only its last touch places it in the LRU order. The window
+        # is therefore charged by its write, a get2 of each side block read in
+        # it other than mru's, then get2s that leave the side of output n-1
+        # and the out block on top; with fewer frames a window is one output,
+        # the per-record sequence itself.
+        get2, peek_run2, write_run2 = vec.get2, vec.peek_run2, vec.write_run2
+        rpb = vec.config.records_per_block
+        wide = vec.config.frame_count >= 3
         out = self.out
         want = self.batch
         ostart, ocap, ocount = out.start, out.cap, out.count
@@ -174,35 +185,119 @@ class _Merger:
             opos -= ocap
         lring, rring = self.left, self.right
         lprod, rprod = lring.producer, rring.producer
-        lhead = rhead = None
+        L = R = None
         while ocount < want:
-            if lhead is None:
+            mru = None  # the side whose head read, if any, is the last touch so far
+            if L is None:
                 if lring.count == 0 and lprod is not None:
                     out.count = ocount
                     lprod.fill(vec)
-                lhead = get2(lring.start + lring.head) if lring.count else False
-            if rhead is None:
+                L, li = (), 0
+                if lring.count:
+                    l0 = lring.start + lring.head
+                    head = get2(l0)
+                    mru = lring
+                    # the side's records to the end of its block, its wrap or its
+                    # last record, at most what this fill can still output
+                    n = rpb - l0 % rpb
+                    if lring.cap - lring.head < n:
+                        n = lring.cap - lring.head
+                    if lring.count < n:
+                        n = lring.count
+                    if want - ocount < n:
+                        n = want - ocount
+                    L = peek_run2(l0, l0 + n) if n > 1 else [head]
+            if R is None:
                 if rring.count == 0 and rprod is not None:
                     out.count = ocount
                     rprod.fill(vec)
-                rhead = get2(rring.start + rring.head) if rring.count else False
-            if lhead is not False and (rhead is False or not rhead < lhead):
-                src, item = lring, lhead
-                lhead = None
-            elif rhead is not False:
-                src, item = rring, rhead
-                rhead = None
+                    mru = None
+                R, ri = (), 0
+                if rring.count:
+                    r0 = rring.start + rring.head
+                    head = get2(r0)
+                    mru = rring
+                    # the side's records to the end of its block, its wrap or its
+                    # last record, at most what this fill can still output
+                    n = rpb - r0 % rpb
+                    if rring.cap - rring.head < n:
+                        n = rring.cap - rring.head
+                    if rring.count < n:
+                        n = rring.count
+                    if want - ocount < n:
+                        n = want - ocount
+                    R = peek_run2(r0, r0 + n) if n > 1 else [head]
+            o = ostart + opos
+            t = rpb - o % rpb if wide else 1
+            if ocap - opos < t:
+                t = ocap - opos
+            if want - ocount < t:
+                t = want - ocount
+            if not R:
+                if not L:
+                    break
+                i = li + t if li + t < len(L) else len(L)
+                merged, j, last_left = L[li:i], ri, True
+            elif not L:
+                j = ri + t if ri + t < len(R) else len(R)
+                merged, i, last_left = R[ri:j], li, False
             else:
-                break
-            put2(ostart + opos, item)
-            opos += 1
+                merged = []
+                append = merged.append
+                i, j, stop = li, ri, li + ri + t
+                lend, rend = len(L), len(R)
+                x, y = L[i], R[j]
+                while True:
+                    if y < x:
+                        append(y)
+                        j += 1
+                        if j == rend or i + j == stop:
+                            last_left = False
+                            break
+                        y = R[j]
+                    else:
+                        append(x)
+                        i += 1
+                        if i == lend or i + j == stop:
+                            last_left = True
+                            break
+                        x = L[i]
+            write_run2(o, merged)  # the out block: the window's first touch
+            # the sides read inside the window are those of outputs 1..n-1
+            lread, rread = i - last_left > li, j - (not last_left) > ri
+            if lread and rread:
+                # the head step read one of them (mru), so mru is not None
+                mru_left = mru is lring
+                late_left = R[j - 2 + last_left] < L[i - 1 - last_left]  # side of output n-1
+                get2(r0 if mru_left else l0)
+                if late_left == mru_left:
+                    get2(l0 if late_left else r0)
+                get2(o)
+            elif (lread or rread) and mru is not (lring if lread else rring):
+                get2(l0 if lread else r0)
+                get2(o)
+            n = len(merged)
+            opos += n
             if opos == ocap:
                 opos = 0
-            ocount += 1
-            src.head += 1
-            if src.head == src.cap:
-                src.head = 0
-            src.count -= 1
+            ocount += n
+            if i > li:
+                lring.head += i - li
+                if lring.head == lring.cap:
+                    lring.head = 0
+                lring.count -= i - li
+                li = i
+            if j > ri:
+                rring.head += j - ri
+                if rring.head == rring.cap:
+                    rring.head = 0
+                rring.count -= j - ri
+                ri = j
+            # the side of output n reads its head again at the next head step
+            if last_left:
+                L = None
+            else:
+                R = None
         out.count = ocount
 
 
@@ -271,8 +366,13 @@ class FunnelHeap:
         pos = bisect_right(mirror, item)
         mirror.insert(pos, item)
         I.count += 1
-        for j in range(pos, I.count):
-            I.set_at(vec, j, mirror[j])
+        # the shifted tail mirror[pos:] in at most two runs, the ring's order:
+        # mirror[split:] wraps round to the start of the ring's region
+        split = I.cap - I.head
+        if pos < split:
+            vec.write_run2(I.start + I.head + pos, mirror[pos:split])
+        if I.count > split:
+            vec.write_run2(I.start + max(pos - split, 0), mirror[max(pos, split) :])
         self._n += 1
 
     def find_min(self) -> tuple[int, int] | None:

@@ -21,6 +21,7 @@ Distances are exact integers; unreachable vertices are reported as None.
 from __future__ import annotations
 
 import heapq
+import time
 from dataclasses import dataclass, field
 
 from .binary_heap import BinaryHeap
@@ -39,6 +40,15 @@ class DistanceResult:
     heap_inserts: int = 0
     guard_deletes: int = 0
     spurious_kills: int = 0  # candidate minima observed to die to a guard deletion
+
+
+class BenchTimeout(Exception):
+    """A run passed its deadline. partial is a Dijkstra run's result as far
+    as it got, its counters included; None for a heap workload."""
+
+    def __init__(self, partial: DistanceResult | None = None):
+        super().__init__()
+        self.partial = partial
 
 
 def sssp_reference(g: Graph, source: int) -> DistanceResult:
@@ -87,6 +97,7 @@ def sssp_binary(
     pq_cache_bytes: int = DEFAULT_CACHE_BYTES,
     graph_cache_bytes: int = DEFAULT_CACHE_BYTES,
     block_bytes: int = DEFAULT_BLOCK_BYTES,
+    deadline: float | None = None,
 ) -> DistanceResult:
     eg = _prepare(g, source, graph_cache_bytes, block_bytes)
     n = eg.vertex_count
@@ -99,6 +110,8 @@ def sssp_binary(
         v, d = h.delete_min()
         dist[v] = d
         order.append(v)
+        if deadline is not None and not len(order) & 1023 and time.monotonic() > deadline:
+            raise BenchTimeout(_result(dist, order, eg, h.vectors(), peak_heap_entries=peak))
         for t, w in eg.arcs(*eg.arc_range(v)):
             if dist[t] is not None:
                 continue
@@ -119,6 +132,7 @@ def sssp_funnel(
     pq_cache_bytes: int = DEFAULT_CACHE_BYTES,
     graph_cache_bytes: int = DEFAULT_CACHE_BYTES,
     block_bytes: int = DEFAULT_BLOCK_BYTES,
+    deadline: float | None = None,
 ) -> DistanceResult:
     eg = _prepare(g, source, graph_cache_bytes, block_bytes)
     n = eg.vertex_count
@@ -135,6 +149,8 @@ def sssp_funnel(
         visited[v] = 1
         dist[v] = d
         order.append(v)
+        if deadline is not None and not len(order) & 1023 and time.monotonic() > deadline:
+            raise BenchTimeout(_result(dist, order, eg, h.vectors(), peak_heap_entries=peak, heap_inserts=inserts))
         for t, w in eg.arcs(*eg.arc_range(v)):
             if not visited[t]:
                 h.insert(t, d + w)
@@ -150,6 +166,7 @@ def sssp_bucket(
     pq_cache_bytes: int = DEFAULT_CACHE_BYTES,
     graph_cache_bytes: int = DEFAULT_CACHE_BYTES,
     block_bytes: int = DEFAULT_BLOCK_BYTES,
+    deadline: float | None = None,
 ) -> DistanceResult:
     eg = _prepare(g, source, graph_cache_bytes, block_bytes)
     if not eg.source.is_symmetric():
@@ -203,6 +220,8 @@ def sssp_bucket(
             raise RuntimeError(f"vertex {v} settled twice (d={d}, first={dist[v]})")
         dist[v] = d
         order.append(v)
+        if deadline is not None and not len(order) & 1023 and time.monotonic() > deadline:
+            raise BenchTimeout(_bucket_result(dist, order, eg, main, guard, peak, guard_deletes, spurious_kills))
         lo, hi = eg.arc_range(v)
         for a, (t, w) in enumerate(eg.arcs(lo, hi), lo):
             main.update(t, d + w)
@@ -213,6 +232,10 @@ def sssp_bucket(
         occ = main.occupancy() + guard.occupancy()
         if occ > peak:
             peak = occ
+    return _bucket_result(dist, order, eg, main, guard, peak, guard_deletes, spurious_kills)
+
+
+def _bucket_result(dist, order, eg, main, guard, peak, guard_deletes, spurious_kills) -> DistanceResult:
     return _result(
         dist,
         order,

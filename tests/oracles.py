@@ -179,3 +179,39 @@ def gen_gnp_reference(spec):
             weights.append(w)
         offsets.append(len(targets))
     return Graph(offsets, targets, weights)
+
+
+def reference_fill(merger, vec):
+    """The funnel heap's binary merge one record at a time: a get2 for each
+    head it moves and a put2 for each output, in stream order, the left side
+    winning ties. A drop-in for copq.funnel_heap._Merger.fill; the library's
+    block-window merge must count exactly like it."""
+    out = merger.out
+    lring, rring = merger.left, merger.right
+    opos = out.head + out.count
+    if opos >= out.cap:
+        opos -= out.cap
+    lhead = rhead = None
+    while out.count < merger.batch:
+        if lhead is None:
+            if lring.count == 0 and lring.producer is not None:
+                lring.producer.fill(vec)
+            lhead = vec.get2(lring.start + lring.head) if lring.count else False
+        if rhead is None:
+            if rring.count == 0 and rring.producer is not None:
+                rring.producer.fill(vec)
+            rhead = vec.get2(rring.start + rring.head) if rring.count else False
+        if lhead is not False and (rhead is False or not rhead < lhead):
+            src, item = lring, lhead
+            lhead = None
+        elif rhead is not False:
+            src, item = rring, rhead
+            rhead = None
+        else:
+            break
+        vec.put2(out.start + opos, item)
+        opos += 1
+        if opos == out.cap:
+            opos = 0
+        out.count += 1
+        src.advance()

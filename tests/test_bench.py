@@ -82,6 +82,15 @@ class TestRunners:
         rows = run_pq_bench("bucket", sizes=[1 << 14], cache_bytes=1 * MB, seed=0, reps=1, timeout_secs=0.0)
         assert rows[0].wall_seconds == "timeout"
 
+    @pytest.mark.parametrize("heap", ["binary", "funnel", "bucket"])
+    def test_sssp_timeout_row_flagged(self, heap):
+        # the run stops at 1,024 settled vertices and its row keeps their counts
+        g = gen_gnp(GnpSpec(n=4096, seed=0))
+        rows = run_sssp_bench(heap, [(4096, g)], cache_bytes=64 * 1024, seed=0, reps=2, timeout_secs=0.0)
+        assert len(rows) == 1
+        assert rows[0].wall_seconds == "timeout"
+        assert rows[0].pq_reads > 0 and rows[0].graph_reads > 0
+
     def test_sssp_bench_verifies_and_counts(self):
         g = gen_gnp(GnpSpec(n=256, seed=4))
         rows = run_sssp_bench("funnel", [(256, g)], cache_bytes=1 * MB, seed=1, reps=2)

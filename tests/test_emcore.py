@@ -343,6 +343,85 @@ class TestRunAccessors:
         assert v.stats() == IoStats()
 
 
+class TestPeekRun:
+    """peek_run2 is the run form of peek2: a stat-free read that never
+    faults, counts, or moves a block in the LRU order."""
+
+    def run_twin_trace(self, rng, steps):
+        # v runs its twin's trace with peek_run2 calls interleaved; four
+        # records a block and three frames, so the trace evicts often
+        v, twin = make(cache=3 * 64, block=64, rec=16), make(cache=3 * 64, block=64, rec=16)
+        v.extend(8)
+        twin.extend(8)
+        for _ in range(steps):
+            n = len(v)
+            op = rng.random()
+            if op < 0.3:
+                lo = rng.randrange(n + 1)
+                hi = rng.randint(lo, min(n, lo + 12))
+                assert v.peek_run2(lo, hi) == [twin.peek2(i) for i in range(lo, hi)]
+            elif op < 0.55 and n:
+                i = rng.randrange(n)
+                assert v.get2(i) == twin.get2(i)
+            elif op < 0.8 and n:
+                i = rng.randrange(n)
+                rec = (rng.getrandbits(64), rng.getrandbits(64))
+                v.put2(i, rec)
+                twin.put2(i, rec)
+            elif op < 0.9:
+                m = rng.randrange(n + 1)
+                v.truncate(m)
+                twin.truncate(m)
+            else:
+                m = rng.randrange(12)
+                v.extend(m)
+                twin.extend(m)
+            assert v.stats() == twin.stats()
+        # equal LRU order: touching one record a block, last block first,
+        # faults and writes back alike at every step
+        for i in range(len(v) - 1, -1, -4):
+            assert v.get2(i) == twin.get2(i)
+            assert v.stats() == twin.stats()
+        v.drop_cache()
+        twin.drop_cache()
+        assert v.stats() == twin.stats()
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_peeks_leave_counts_and_lru_order_alone(self, seed):
+        self.run_twin_trace(random.Random(seed), 3000)
+
+    def test_untouched_and_truncated_blocks_read_zero(self):
+        v = make(cache=2 * 64, block=64, rec=16)
+        v.extend(12)
+        v.write_run2(0, [(i, i) for i in range(1, 11)])
+        v.truncate(6)  # drops block 2 whole and the tail of block 1
+        v.extend(10)  # block 3 and beyond were never touched
+        assert v.peek_run2(0, 16) == [(i, i) for i in range(1, 7)] + [(0, 0)] * 10
+        assert v.stats() == IoStats(block_reads=3, block_writes=1, evictions=1)
+
+    def test_out_of_range_and_record_size(self):
+        v = make(cache=64, block=64, rec=16)
+        v.extend(8)
+        for lo, hi in ((0, 9), (-1, 2), (3, 2), (9, 9)):
+            with pytest.raises(IndexError):
+                v.peek_run2(lo, hi)
+        assert v.peek_run2(8, 8) == []
+        w = make(rec=8)
+        w.extend(4)
+        with pytest.raises(TypeError):
+            w.peek_run2(0, 2)
+        assert v.stats() == w.stats() == IoStats()
+
+    def test_returns_a_copy(self):
+        v = make(cache=2 * 64, block=64, rec=16)
+        v.extend(10)
+        v.write_run2(0, [(i, i + 1) for i in range(10)])
+        got = v.peek_run2(2, 7)
+        got[0] = (55, 55)
+        got.append((66, 66))
+        assert v.peek_run2(0, 10) == [(i, i + 1) for i in range(10)]
+
+
 class TestBytesBoundary:
     """get/set see a record as its bytes; the vector holds it as a value."""
 

@@ -2,10 +2,10 @@ import random
 
 import pytest
 
-from copq.funnel_heap import FunnelHeap, _link_params
+from copq.funnel_heap import FunnelHeap, _Merger, _link_params
 from copq.emcore import MB
 
-from oracles import MultisetPQ
+from oracles import MultisetPQ, reference_fill
 
 
 def make(cache=1 * MB):
@@ -202,3 +202,44 @@ class TestOracle:
             for _ in range(drain):
                 assert h.delete_min() == oracle.delete_min()
             h.check_invariants()
+
+
+def _counted_trace(seed, block, frames, ops=6000):
+    """Pops and stats() after each op of a seeded insert/delete_min trace,
+    then stats() after a final drop_cache(). One seed in three draws keys
+    from [0, 50), so many records tie."""
+    h = FunnelHeap(cache_bytes=frames * block, block_bytes=block)
+    rng = random.Random(seed)
+    key = (lambda: rng.randrange(50)) if seed % 3 == 0 else (lambda: rng.getrandbits(24))
+    log = []
+    ident = 0
+    for step in range(ops):
+        # grow for the first half, shrink in the second, so links fill and drain
+        if not len(h) or rng.random() < (0.6 if step < ops // 2 else 0.45):
+            h.insert(ident, key())
+            ident += 1
+            log.append((None, h.vector.stats()))
+        else:
+            log.append((h.delete_min(), h.vector.stats()))
+    h.vector.drop_cache()
+    log.append((None, h.vector.stats()))
+    return log
+
+
+WINDOW_GRID = [(block, frames) for block in (16, 32, 48, 64, 256) for frames in (1, 2, 3, 4, 5, 8)]
+
+
+class TestWindowMerge:
+    """_Merger.fill moves a block window at a time; it must count exactly
+    like the per-record merge, oracles.reference_fill."""
+
+    @pytest.mark.parametrize("block,frames", WINDOW_GRID)
+    def test_counts_like_per_record_merge(self, block, frames, monkeypatch):
+        seed = WINDOW_GRID.index((block, frames))
+        with monkeypatch.context() as m:
+            m.setattr(_Merger, "fill", reference_fill)
+            want = _counted_trace(seed, block, frames)
+        got = _counted_trace(seed, block, frames)
+        bad = next((i for i, (a, b) in enumerate(zip(got, want)) if a != b), None)
+        assert bad is None, f"op {bad}: window merge {got[bad]}, per-record merge {want[bad]}"
+        assert len(got) == len(want)

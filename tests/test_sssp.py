@@ -1,10 +1,11 @@
 import random
+import time
 
 import pytest
 
 from copq.emcore import MB
 from copq.graphs import GnpSpec, Graph, gen_gnp, load_csr
-from copq.sssp import sssp_binary, sssp_bucket, sssp_funnel, sssp_reference
+from copq.sssp import BenchTimeout, sssp_binary, sssp_bucket, sssp_funnel, sssp_reference
 
 from oracles import bellman_ford
 
@@ -201,3 +202,15 @@ class TestStatsSeparation:
         assert res.stats["graph"].block_writes == 0  # the run never writes the graph
         assert res.stats["pq"].block_reads >= 0
         assert res.stats["pq"] is not res.stats["graph"]
+
+
+@pytest.mark.parametrize("name,fn", VARIANTS, ids=[v[0] for v in VARIANTS])
+def test_deadline_stops_a_run_after_1024_settled_vertices(name, fn):
+    g = gen_gnp(GnpSpec(n=4096, seed=2))
+    with pytest.raises(BenchTimeout) as cut:
+        fn(load_csr(g), 0, deadline=time.monotonic())
+    part, want = cut.value.partial, sssp_reference(g, 0)
+    assert len(part.settled_order) == 1024
+    assert [v for v, d in enumerate(part.dist) if d is not None] == sorted(part.settled_order)
+    assert all(part.dist[v] == want.dist[v] for v in part.settled_order)
+    assert part.stats["pq"].block_reads > 0
