@@ -13,7 +13,7 @@ from dataclasses import dataclass, fields
 
 from .binary_heap import BinaryHeap
 from .bucket_heap import BucketHeap
-from .emcore import EmConfig, IoStats, DEFAULT_BLOCK_BYTES, DEFAULT_CACHE_BYTES, MB
+from .emcore import EmConfig, IoStats, DEFAULT_BLOCK_BYTES, DEFAULT_CACHE_BYTES, MASK64, MB
 from .funnel_heap import FunnelHeap
 from .graphs import Graph, SplitMix64, load_csr
 from .sssp import SSSP, BenchTimeout, sssp_reference
@@ -22,9 +22,6 @@ from .sssp import SSSP, BenchTimeout, sssp_reference
 PQ_SIZES = [1 << e for e in range(16, 26)]
 SSSP_RANDOM_SIZES = [65536, 131072, 262144, 524288, 750000, 1048576]
 MEM_SWEEP_CACHES = [m * MB for m in (2, 4, 8, 16, 32, 64, 128, 256, 512, 1024)]
-
-_MASK64 = (1 << 64) - 1
-
 
 @dataclass
 class BenchRecord:
@@ -105,7 +102,7 @@ def pq_workload(
                 ident += 1
             else:
                 i, k = pq.delete_min()
-                checksum = ((checksum * 1099511628211) ^ (i * 0x9E3779B97F4A7C15) ^ k) & _MASK64
+                checksum = ((checksum * 1099511628211) ^ (i * 0x9E3779B97F4A7C15) ^ k) & MASK64
             ops += 1
             if not ops & 1023 and deadline is not None and time.monotonic() > deadline:
                 raise BenchTimeout()
@@ -118,6 +115,8 @@ def _bench_rows(experiment, structure, cases, cache_bytes, block_bytes, seed, re
     """One row per (size, case). run(case, seed + rep) returns (timed_out,
     wall, pq IoStats, graph IoStats, peak); a row averages the reps up to the
     first that timed out, which ends the grid with wall_seconds "timeout"."""
+    if reps < 1:
+        raise ValueError(f"reps must be at least 1, got {reps}")
     records = []
     for size, case in cases:
         runs = []

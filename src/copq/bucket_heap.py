@@ -8,8 +8,8 @@ with a signal buffer and a splitter key bounding the bucket's contents.
 Level i (1-based) holds at most 2^(2i+2) elements and flushes its signal
 buffer once it exceeds 2^(2i+1) pending signals, so an element costs a
 bounded number of whole-level scans on its way down and back up. Buckets
-are kept sorted by (key, id); all records live in one BlockVector as
-(key, id) pairs, the order they sort in.
+are kept sorted; all records live in one BlockVector as key << 64 | id
+ints, which order like their (key, id) pairs.
 
 Uniqueness of live ids across buckets is preserved by chasing every
 mid-chain insertion with a delete signal for the levels below it, which
@@ -18,9 +18,10 @@ kills any stale deeper copy before it can surface.
 
 from __future__ import annotations
 
-from .emcore import BlockVector, EmConfig, DEFAULT_BLOCK_BYTES, DEFAULT_CACHE_BYTES, u64
+from .emcore import BlockVector, EmConfig, DEFAULT_BLOCK_BYTES, DEFAULT_CACHE_BYTES, MASK64, u64
 
 DELETE_KEY = (1 << 64) - 1  # signal-key sentinel marking a delete
+DELETE = DELETE_KEY << 64  # a signal at or above it is a delete: DELETE | id
 INF = (1 << 64) - 1  # splitter value meaning "accepts any key"
 
 
@@ -67,12 +68,12 @@ class BucketHeap:
     # -- public operations ----------------------------------------------------
 
     def update(self, ident: int, key: int) -> None:
-        self._signal(u64(ident, "id"), u64(key, "key", DELETE_KEY))
+        self._signal(u64(key, "key", DELETE_KEY) << 64 | u64(ident, "id"))
 
     insert = update  # the shared heap surface: insert(id, key)
 
     def delete(self, ident: int) -> None:
-        self._signal(u64(ident, "id"), DELETE_KEY)
+        self._signal(DELETE | u64(ident, "id"))
 
     def find_min(self) -> tuple[int, int] | None:
         """Resolve pending signals until the top bucket provably holds the global
@@ -91,8 +92,8 @@ class BucketHeap:
         if j > 0:
             self._refill(j)
         top = self._levels[0]
-        key, ident = self.vector.get2(top.bstart + top.bhead)
-        return (ident, key)
+        rec = self.vector.get2(top.bstart + top.bhead)
+        return rec & MASK64, rec >> 64
 
     def delete_min(self) -> tuple[int, int]:
         m = self.find_min()
@@ -106,11 +107,11 @@ class BucketHeap:
 
     # -- signal machinery -----------------------------------------------------
 
-    def _signal(self, ident: int, key: int) -> None:
+    def _signal(self, sig: int) -> None:
         if not self._levels:
             self._add_level()
         top = self._levels[0]
-        self.vector.put2(top.sstart + top.scount, (key, ident))
+        self.vector.put2(top.sstart + top.scount, sig)
         top.scount += 1
         self.stored += 1
         if top.scount > signal_capacity(1):
@@ -130,13 +131,14 @@ class BucketHeap:
         self.stored -= lv.scount + lv.bcount
         lv.scount = 0
         lo = lv.bstart + lv.bhead
-        # id -> its (key, id) record; a signal that wins is stored as it is
-        d = {rec[1]: rec for rec in vec.read_run2(lo, lo + lv.bcount)}
+        # id -> its record; a signal that wins is stored as it is
+        d = {rec & MASK64: rec for rec in vec.read_run2(lo, lo + lv.bcount)}
         deepest = li == len(self._levels) - 1
-        out: list[tuple[int, int]] = []  # (key, id) signals for the next level
+        out: list[int] = []  # signals for the next level
+        limit = lv.splitter << 64 | MASK64  # the largest record the bucket accepts
         for sig in signals:
-            skey, sid = sig
-            if skey == DELETE_KEY:
+            sid = sig & MASK64
+            if sig >= DELETE:
                 if sid in d:
                     del d[sid]
                 elif not deepest:
@@ -144,20 +146,20 @@ class BucketHeap:
             else:
                 cur = d.get(sid)
                 if cur is not None:
-                    if skey < cur[0]:
+                    if sig < cur:
                         d[sid] = sig
-                elif skey <= lv.splitter:
+                elif sig <= limit:
                     d[sid] = sig
                     if not deepest:
                         # chase a possible stale copy of sid in deeper levels
-                        out.append((DELETE_KEY, sid))
+                        out.append(DELETE | sid)
                 else:
                     out.append(sig)
         items = sorted(d.values())
         if len(items) > lv.bcap:
             out.extend(items[lv.bcap :])
             del items[lv.bcap :]
-            lv.splitter = items[-1][0]
+            lv.splitter = items[-1] >> 64
         lv.bhead = 0
         lv.bcount = len(items)
         self.stored += len(items) + len(out)
@@ -193,7 +195,7 @@ class BucketHeap:
             lv.bcount = len(chunk)
             vec.write_run2(lv.bstart, chunk)
             if chunk:
-                last_key = chunk[-1][0]
+                last_key = chunk[-1] >> 64
             lv.splitter = last_key
 
     # -- test hooks -------------------------------------------------------------
@@ -210,11 +212,11 @@ class BucketHeap:
             assert 0 <= lv.bcount <= lv.bcap, f"bucket occupancy out of range at level {lv.num}"
             prev = None
             for b in range(lv.bcount):
-                key, ident = self.vector.peek2(lv.bstart + lv.bhead + b)
-                assert key <= lv.splitter, f"key above splitter at level {lv.num}"
+                rec = self.vector.peek2(lv.bstart + lv.bhead + b)
+                assert rec >> 64 <= lv.splitter, f"key above splitter at level {lv.num}"
                 if prev is not None:
-                    assert prev <= (key, ident), f"bucket unsorted at level {lv.num}"
-                prev = (key, ident)
+                    assert prev <= rec, f"bucket unsorted at level {lv.num}"
+                prev = rec
             assert prev_split <= lv.splitter, "splitters not monotone"
             prev_split = lv.splitter
         assert self.stored == sum(l.bcount + l.scount for l in self._levels), "stored count drifted"
@@ -233,7 +235,8 @@ class BucketHeap:
         out: dict[int, int] = {}
         for lv in self._levels:
             for b in range(lv.bcount):
-                key, ident = self.vector.peek2(lv.bstart + lv.bhead + b)
+                rec = self.vector.peek2(lv.bstart + lv.bhead + b)
+                ident = rec & MASK64
                 assert ident not in out, f"id {ident} live in two buckets after resolution"
-                out[ident] = key
+                out[ident] = rec >> 64
         return out

@@ -7,6 +7,7 @@ import functools
 import sys
 
 from .bench import (
+    MEM_SWEEP_CACHES,
     PQ_SIZES,
     SSSP_RANDOM_SIZES,
     first_mismatch,
@@ -15,7 +16,7 @@ from .bench import (
     run_sssp_bench,
     write_csv,
 )
-from .emcore import MB
+from .emcore import EmConfig, MB
 from .graphs import Graph, GnpSpec, gen_gnp, parse_dimacs, write_dimacs
 from .sssp import SSSP, sssp_reference
 
@@ -125,8 +126,15 @@ def main(argv: list[str] | None = None) -> int:
 
     args = ap.parse_args(argv)
 
+    def checked(build, *a, **kw):
+        """build(*a, **kw), a ValueError from the user's values exiting 2 as a usage error."""
+        try:
+            return build(*a, **kw)
+        except ValueError as e:
+            ap.error(str(e))
+
     if args.cmd == "gen-graph":
-        g = gen_gnp(_gnp_spec_from(args))
+        g = gen_gnp(checked(_gnp_spec_from, args))
         with open(args.out, "w", encoding="ascii") as fh:
             fh.write(write_dimacs(g))
         print(f"wrote {args.out}: V={g.vertex_count} arcs={g.arc_count}", file=sys.stderr)
@@ -136,10 +144,13 @@ def main(argv: list[str] | None = None) -> int:
         if args.dimacs:
             g = _read_dimacs(args.dimacs)
         elif args.gnp_n:
-            g = gen_gnp(GnpSpec(n=args.gnp_n, weight_max=args.wmax, seed=args.seed))
+            g = gen_gnp(checked(GnpSpec, n=args.gnp_n, weight_max=args.wmax, seed=args.seed))
         else:
             raise SystemExit("verify: need --gnp-n or --dimacs")
         cache = _cache_bytes(args)
+        checked(EmConfig, cache, args.block_bytes)
+        if not 0 <= args.source < g.vertex_count:
+            ap.error(f"--source {args.source} out of range [0, {g.vertex_count})")
         res = SSSP[args.heap](
             g, args.source, pq_cache_bytes=cache, graph_cache_bytes=cache, block_bytes=args.block_bytes
         )
@@ -155,21 +166,28 @@ def main(argv: list[str] | None = None) -> int:
         )
         return 1
 
+    if args.reps < 1:
+        ap.error(f"--reps must be at least 1, got {args.reps}")
+    if args.cmd == "mem-sweep":
+        caches = MEM_SWEEP_CACHES
+        if args.cache_mb_list:
+            caches = [int(m * MB) for m in _parse_list(args.cache_mb_list, float)]
+    else:
+        caches = [_cache_bytes(args)]
+    for cache in caches:
+        checked(EmConfig, cache, args.block_bytes)
     runs = dict(block_bytes=args.block_bytes, seed=args.seed, reps=args.reps, timeout_secs=args.timeout_secs)
     if args.cmd == "pq-bench":
         sizes = _parse_list(args.sizes) if args.sizes else None
-        records = run_pq_bench(args.heap, sizes, cache_bytes=_cache_bytes(args), **runs)
+        records = run_pq_bench(args.heap, sizes, cache_bytes=caches[0], **runs)
     elif args.cmd == "sssp-bench":
         if args.dimacs:
             graphs = [(g.vertex_count, g) for g in map(_read_dimacs, args.dimacs)]
         else:
             sizes = _parse_list(args.gnp_sizes) if args.gnp_sizes else SSSP_RANDOM_SIZES
-            graphs = [(n, gen_gnp(GnpSpec(n=n, weight_max=args.wmax, seed=args.seed))) for n in sizes]
-        records = run_sssp_bench(
-            args.heap, graphs, cache_bytes=_cache_bytes(args), verify_cap=args.verify_cap, **runs
-        )
+            graphs = [(n, gen_gnp(checked(GnpSpec, n=n, weight_max=args.wmax, seed=args.seed))) for n in sizes]
+        records = run_sssp_bench(args.heap, graphs, cache_bytes=caches[0], verify_cap=args.verify_cap, **runs)
     else:
-        caches = [int(m * MB) for m in _parse_list(args.cache_mb_list, float)] if args.cache_mb_list else None
         records = mem_sweep(args.heap, args.n, caches, **runs)
     if args.csv:
         with open(args.csv, "w", encoding="ascii") as fh:

@@ -6,17 +6,19 @@ blocks under exact LRU replacement, and every block moved between the
 cache and the backing store is counted. Counters stand in for wall-clock
 I/O wait: identical operation sequences always produce identical counts.
 
-A block's records live in memory as values, in one table from block id to a
-list of ``records_per_block`` records: a 16-byte record is an ``(a, k)``
-tuple, an 8-byte record an int, any other size a ``bytes`` object. No
-accessor packs or unpacks: ``get2`` returns the tuple that ``put2`` stored.
-A block gets the zero record in every slot at its first touch, read or
-write, and gives its list up when ``truncate`` drops it, so untouched and
-dropped records read as zero. Which blocks hold a list decides no count:
-the counters follow the LRU cache alone. The vector checks indices and
-record sizes, not values: the heaps and ``ExternalGraph`` check what they
-store where values enter the library, and the bytes-level ``get``/``set``
-pack and unpack 16- and 8-byte records as unsigned 64-bit fields.
+A record is one Python int: an 8-byte record is its value, a 16-byte record
+with fields a and k is ``a << 64 | k``, so records order like their ``(a, k)``
+pairs and compare as whole ints. A block's records live in one table from
+block id to a list of ``records_per_block`` ints; ``get2`` returns the int
+that ``put2`` stored, and ``set2(i, a, k)`` stores the two fields as one.
+The bytes view is ``get``/``set``: a record as little-endian unsigned 64-bit
+fields, ``<Q`` for 8 bytes and ``<QQ`` as ``(r >> 64, r & MASK64)`` for 16.
+Those are the only record sizes. A block gets the zero record ``0`` in every
+slot at its first touch, read or write, and gives its list up when
+``truncate`` drops it, so untouched and dropped records read as zero. Which
+blocks hold a list decides no count: the counters follow the LRU cache
+alone. The vector checks indices and record sizes, not values: the heaps and
+``ExternalGraph`` check what they store where values enter the library.
 
 The record accessors are written for throughput: the LRU bump is inlined
 and repeated touches of the same block skip the bookkeeping entirely (a
@@ -47,6 +49,7 @@ _ONE = struct.Struct("<Q")
 
 MB = 1024 * 1024
 U64 = 1 << 64  # record fields are unsigned 64-bit: ids and keys lie in [0, U64)
+MASK64 = U64 - 1  # the low field k of a 16-byte record a << 64 | k
 DEFAULT_CACHE_BYTES = 16 * MB
 DEFAULT_BLOCK_BYTES = 4096
 
@@ -75,6 +78,11 @@ class EmConfig:
     record_bytes: int = 16
 
     def __post_init__(self):
+        # exact ints: a float passes the checks below and fails at the first
+        # touch; the type test keeps the common case as cheap as before
+        if not type(self.cache_bytes) is type(self.block_bytes) is type(self.record_bytes) is int:
+            for name in ("cache_bytes", "block_bytes", "record_bytes"):
+                object.__setattr__(self, name, u64(getattr(self, name), name))
         if self.record_bytes < 1:
             raise ValueError("record_bytes must be positive")
         if self.block_bytes < self.record_bytes:
@@ -129,7 +137,6 @@ class BlockVector:
         "config",
         "_rpb",
         "_rb",
-        "_zero",
         "_frames",
         "_length",
         "_blocks",
@@ -142,17 +149,17 @@ class BlockVector:
     )
 
     def __init__(self, config: EmConfig):
+        if config.record_bytes not in (8, 16):
+            raise ValueError(f"record_bytes must be 8 or 16, got {config.record_bytes}")
         self.config = config
         self._rpb = config.records_per_block
-        self._rb = rb = config.record_bytes
-        # the one shared zero record: fills new blocks and truncated tails
-        self._zero = (0, 0) if rb == 16 else 0 if rb == 8 else bytes(rb)
+        self._rb = config.record_bytes
         self._frames = config.frame_count
         self._length = 0
-        self._blocks: dict[int, list] = {}  # block id -> records, touched and not dropped
+        self._blocks: dict[int, list[int]] = {}  # block id -> records, touched and not dropped
         self._resident: dict[int, bool] = {}  # block id -> dirty, insertion order = LRU order
         self._last_block = -1  # forces the first access through _switch
-        self._last_data: list = []
+        self._last_data: list[int] = []
         self.reads = 0
         self.writes = 0
         self.evictions = 0
@@ -179,46 +186,29 @@ class BlockVector:
         # first touch, or a resident block that truncate dropped: zero records
         data = self._blocks.get(b)
         if data is None:
-            data = self._blocks[b] = [self._zero] * self._rpb
+            data = self._blocks[b] = [0] * self._rpb
         self._last_block = b
         self._last_data = data
 
     # -- record access ----------------------------------------------------------
 
     def get(self, i: int) -> bytes:
-        """Record i as its bytes: 16- and 8-byte records packed as little-endian
-        unsigned 64-bit fields."""
-        if not 0 <= i < self._length:
-            raise IndexError(f"record index {i} out of range [0, {self._length})")
-        b = i // self._rpb
-        if b != self._last_block:
-            self._switch(b, False)
-        rec = self._last_data[i - b * self._rpb]
-        rb = self._rb
-        return _PAIR.pack(*rec) if rb == 16 else _ONE.pack(rec) if rb == 8 else rec
+        """Record i as its bytes: little-endian unsigned 64-bit fields, a
+        16-byte record a << 64 | k as a then k."""
+        rec = self.get2(i)
+        return _PAIR.pack(rec >> 64, rec & MASK64) if self._rb == 16 else _ONE.pack(rec)
 
     def set(self, i: int, record: bytes) -> None:
         """Store a record given as its bytes (the inverse of get)."""
-        if not 0 <= i < self._length:
-            raise IndexError(f"record index {i} out of range [0, {self._length})")
-        rb = self._rb
-        if len(record) != rb:
-            raise ValueError(f"record must be exactly {rb} bytes, got {len(record)}")
-        b = i // self._rpb
-        if b != self._last_block:
-            self._switch(b, True)
-        else:
-            self._resident[b] = True
-        rec = _PAIR.unpack(record) if rb == 16 else _ONE.unpack(record)[0] if rb == 8 else bytes(record)
-        self._last_data[i - b * self._rpb] = rec
+        if len(record) != self._rb:
+            raise ValueError(f"record must be exactly {self._rb} bytes, got {len(record)}")
+        a, k = _PAIR.unpack(record) if self._rb == 16 else (0, *_ONE.unpack(record))
+        self.put2(i, a << 64 | k)
 
-    # Value accessors for the two record shapes the library itself uses:
-    # (a, k) tuples in 16-byte vectors, ints in 8-byte ones. Accounting is
-    # identical to get/set.
+    # The value accessors: a record is one int, a << 64 | k in a 16-byte
+    # vector. Accounting is identical to get/set.
 
-    def get2(self, i: int) -> tuple[int, int]:
-        if self._rb != 16:
-            raise TypeError("get2/put2 require 16-byte records")
+    def get2(self, i: int) -> int:
         if not 0 <= i < self._length:
             raise IndexError(f"record index {i} out of range [0, {self._length})")
         b = i // self._rpb
@@ -226,10 +216,8 @@ class BlockVector:
             self._switch(b, False)
         return self._last_data[i - b * self._rpb]
 
-    def put2(self, i: int, rec: tuple[int, int]) -> None:
-        """Store the (a, k) tuple rec at record i; the vector keeps rec itself."""
-        if self._rb != 16:
-            raise TypeError("get2/put2 require 16-byte records")
+    def put2(self, i: int, rec: int) -> None:
+        """Store the record rec at index i."""
         if not 0 <= i < self._length:
             raise IndexError(f"record index {i} out of range [0, {self._length})")
         b = i // self._rpb
@@ -240,17 +228,16 @@ class BlockVector:
         self._last_data[i - b * self._rpb] = rec
 
     def set2(self, i: int, a: int, k: int) -> None:
-        self.put2(i, (a, k))
+        """Store the 16-byte record with fields a and k at index i."""
+        self.put2(i, a << 64 | k)
 
-    def read_run2(self, lo: int, hi: int) -> list[tuple[int, int]]:
-        """Records lo..hi-1 as (a, k) pairs, in a new list. Touches and counts
-        exactly like get2 over the range, but visits each block once."""
-        if self._rb != 16:
-            raise TypeError("read_run2/write_run2 require 16-byte records")
+    def read_run2(self, lo: int, hi: int) -> list[int]:
+        """Records lo..hi-1, in a new list. Touches and counts exactly like
+        get2 over the range, but visits each block once."""
         if not 0 <= lo <= hi <= self._length:
             raise IndexError(f"record run [{lo}, {hi}) out of range [0, {self._length})")
         rpb = self._rpb
-        out: list[tuple[int, int]] = []
+        out: list[int] = []
         i = lo
         while i < hi:
             b = i // rpb
@@ -264,13 +251,11 @@ class BlockVector:
             i = end
         return out
 
-    def write_run2(self, lo: int, pairs: list[tuple[int, int]]) -> None:
-        """Store pairs at records lo, lo+1, ... Touches, dirties and counts
+    def write_run2(self, lo: int, recs: list[int]) -> None:
+        """Store recs at records lo, lo+1, ... Touches, dirties and counts
         exactly like put2 over the range, but visits each block once. The
-        vector keeps the tuples, not the list."""
-        if self._rb != 16:
-            raise TypeError("read_run2/write_run2 require 16-byte records")
-        hi = lo + len(pairs)
+        vector keeps the records, not the list."""
+        hi = lo + len(recs)
         if not 0 <= lo <= hi <= self._length:
             raise IndexError(f"record run [{lo}, {hi}) out of range [0, {self._length})")
         rpb = self._rpb
@@ -285,51 +270,26 @@ class BlockVector:
             else:
                 self._resident[b] = True
             off = i - b * rpb
-            self._last_data[off : off + end - i] = pairs[i - lo : end - lo]
+            self._last_data[off : off + end - i] = recs[i - lo : end - lo]
             i = end
 
-    def push2(self, a: int, k: int) -> None:
+    def push2(self, rec: int) -> None:
+        """Append the record rec."""
         self._length += 1
-        self.put2(self._length - 1, (a, k))
+        self.put2(self._length - 1, rec)
 
-    def get1(self, i: int) -> int:
-        if self._rb != 8:
-            raise TypeError("get1/set1 require 8-byte records")
-        if not 0 <= i < self._length:
-            raise IndexError(f"record index {i} out of range [0, {self._length})")
-        b = i // self._rpb
-        if b != self._last_block:
-            self._switch(b, False)
-        return self._last_data[i - b * self._rpb]
-
-    def set1(self, i: int, v: int) -> None:
-        if self._rb != 8:
-            raise TypeError("get1/set1 require 8-byte records")
-        if not 0 <= i < self._length:
-            raise IndexError(f"record index {i} out of range [0, {self._length})")
-        b = i // self._rpb
-        if b != self._last_block:
-            self._switch(b, True)
-        else:
-            self._resident[b] = True
-        self._last_data[i - b * self._rpb] = v
-
-    def peek2(self, i: int) -> tuple[int, int]:
+    def peek2(self, i: int) -> int:
         """Stat-free read for invariant checkers; never faults, never counts."""
         data = self._blocks.get(i // self._rpb)
-        return self._zero if data is None else data[i % self._rpb]
+        return 0 if data is None else data[i % self._rpb]
 
-    peek1 = peek2  # the same read of an 8-byte record
-
-    def peek_run2(self, lo: int, hi: int) -> list[tuple[int, int]]:
-        """Records lo..hi-1 as (a, k) pairs, in a new list: the run form of
-        peek2. Never faults, never counts, leaves the LRU order alone."""
-        if self._rb != 16:
-            raise TypeError("peek_run2 requires 16-byte records")
+    def peek_run2(self, lo: int, hi: int) -> list[int]:
+        """Records lo..hi-1, in a new list: the run form of peek2. Never
+        faults, never counts, leaves the LRU order alone."""
         if not 0 <= lo <= hi <= self._length:
             raise IndexError(f"record run [{lo}, {hi}) out of range [0, {self._length})")
         rpb = self._rpb
-        out: list[tuple[int, int]] = []
+        out: list[int] = []
         i = lo
         while i < hi:
             b = i // rpb
@@ -338,7 +298,7 @@ class BlockVector:
                 end = hi
             data = self._blocks.get(b)
             if data is None:
-                out += [self._zero] * (end - i)
+                out += [0] * (end - i)
             else:
                 off = i - b * rpb
                 out += data[off : off + end - i]
@@ -370,7 +330,7 @@ class BlockVector:
         if lo:
             data = self._blocks.get(b)
             if data is not None:
-                data[lo:] = [self._zero] * (self._rpb - lo)
+                data[lo:] = [0] * (self._rpb - lo)
             b += 1
         for d in range(b, (old - 1) // self._rpb + 1):
             self._blocks.pop(d, None)

@@ -13,8 +13,8 @@ one sorted run, written to the target link's next unused leaf. Leaf sizes
 and fan-ins grow geometrically from link to link, so a heap of n elements
 never has more than O(log n) links.
 
-All records live in one BlockVector as (key, id) pairs, the order they sort
-in; buffer cursors are plain fields. Duplicate ids are allowed (multiset),
+All records live in one BlockVector as key << 64 | id ints, which order like
+their (key, id) pairs; buffer cursors are plain fields. Duplicate ids are allowed (multiset),
 ties break by id.
 """
 
@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from bisect import bisect_right
 
-from .emcore import BlockVector, EmConfig, DEFAULT_BLOCK_BYTES, DEFAULT_CACHE_BYTES, u64
+from .emcore import BlockVector, EmConfig, DEFAULT_BLOCK_BYTES, DEFAULT_CACHE_BYTES, MASK64, u64
 
 _INSERTION_CAP = 8  # s_1; also the insertion buffer capacity
 
@@ -86,7 +86,7 @@ def _link_params(num: int) -> tuple[int, int, int, int, int, int]:
 
 
 class _Ring:
-    """Circular queue of (key, id) records over a fixed vector region.
+    """Circular queue of records over a fixed vector region.
 
     Content is always a sorted run; pops come from the head, appends go to
     the tail. `producer` is the merger that refills the ring: None for the
@@ -102,7 +102,7 @@ class _Ring:
         self.count = 0
         self.producer = None
 
-    def peek(self, vec: BlockVector) -> tuple[int, int]:
+    def peek(self, vec: BlockVector) -> int:
         return vec.get2(self.start + self.head)
 
     def advance(self) -> None:
@@ -112,7 +112,7 @@ class _Ring:
             self.head = 0
         self.count -= 1
 
-    def drain(self, vec: BlockVector) -> list[tuple[int, int]]:
+    def drain(self, vec: BlockVector) -> list[int]:
         """Empty the ring, returning its records: one run up to the end of
         the region and, if the ring wraps, one from its start."""
         first = min(self.count, self.cap - self.head)
@@ -124,13 +124,13 @@ class _Ring:
         self.count = 0
         return out
 
-    def write_run(self, vec: BlockVector, run: list[tuple[int, int]]) -> None:
+    def write_run(self, vec: BlockVector, run: list[int]) -> None:
         """Replace the content by the sorted run."""
         self.head = 0
         self.count = len(run)
         vec.write_run2(self.start, run)
 
-    def peek_all(self, vec: BlockVector) -> list[tuple[int, int]]:
+    def peek_all(self, vec: BlockVector) -> list[int]:
         """The ring's records, stat-free, in the two runs drain reads."""
         first = min(self.count, self.cap - self.head)
         lo = self.start + self.head
@@ -342,7 +342,7 @@ class FunnelHeap:
         self._I = _Ring(0, _INSERTION_CAP)
         # sorted mirror of the insertion buffer: spares re-reading its one hot
         # block on peeks; the vector stays authoritative (all writes go through)
-        self._imirror: list[tuple[int, int]] = []
+        self._imirror: list[int] = []
         self._links: list[_Link] = []
         self._n = 0
 
@@ -361,7 +361,7 @@ class FunnelHeap:
         if I.count == I.cap:
             self._sweep()
         vec = self.vector
-        item = (key, ident)
+        item = key << 64 | ident
         mirror = self._imirror
         pos = bisect_right(mirror, item)
         mirror.insert(pos, item)
@@ -379,7 +379,7 @@ class FunnelHeap:
         if self._n == 0:
             return None
         best, _ = self._min_source()
-        return (best[1], best[0])
+        return best & MASK64, best >> 64
 
     def delete_min(self) -> tuple[int, int]:
         if self._n == 0:
@@ -389,9 +389,9 @@ class FunnelHeap:
             self._imirror.pop(0)
         ring.advance()  # head value already read by _min_source
         self._n -= 1
-        return (best[1], best[0])
+        return best & MASK64, best >> 64
 
-    def _min_source(self) -> tuple[tuple[int, int], _Ring]:
+    def _min_source(self) -> tuple[int, _Ring]:
         vec = self.vector
         best = None
         ring = None
@@ -481,7 +481,7 @@ class FunnelHeap:
         for ln in self._links:
             assert 0 <= ln.c <= len(ln.leaves)
 
-    def _live_items(self) -> list[tuple[int, int]]:
+    def _live_items(self) -> list[int]:
         out = []
         for ring in self._all_rings():
             out.extend(ring.peek_all(self.vector))

@@ -14,9 +14,7 @@ from array import array
 from dataclasses import dataclass
 from itertools import accumulate
 
-from .emcore import BlockVector, EmConfig, DEFAULT_BLOCK_BYTES, DEFAULT_CACHE_BYTES
-
-_MASK64 = (1 << 64) - 1
+from .emcore import BlockVector, EmConfig, DEFAULT_BLOCK_BYTES, DEFAULT_CACHE_BYTES, MASK64
 
 
 class SplitMix64:
@@ -25,13 +23,13 @@ class SplitMix64:
     __slots__ = ("state",)
 
     def __init__(self, seed: int):
-        self.state = seed & _MASK64
+        self.state = seed & MASK64
 
     def next(self) -> int:
-        self.state = (self.state + 0x9E3779B97F4A7C15) & _MASK64
+        self.state = (self.state + 0x9E3779B97F4A7C15) & MASK64
         z = self.state
-        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
-        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
+        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & MASK64
+        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & MASK64
         return z ^ (z >> 31)
 
     def random(self) -> float:
@@ -224,7 +222,7 @@ def parse_dimacs(source) -> Graph:
                 raise DimacsError(f"target id {v} out of range [1,{n}]", line_no)
             if w <= 0:
                 raise DimacsError(f"non-positive weight {w}", line_no)
-            if w > _MASK64:
+            if w > MASK64:
                 raise DimacsError(f"weight {w} does not fit 64 bits", line_no)
             arcs.append((u - 1, v - 1, w))
         else:
@@ -249,9 +247,9 @@ def write_dimacs(g: Graph) -> str:
 class ExternalGraph:
     """CSR adjacency serialized into one BlockVector with its own cache.
 
-    Records 0..V hold the offsets (one per record); records V+1.. hold the
-    arcs as (target, weight) pairs. A vertex's neighborhood scan touches only
-    its contiguous arc range.
+    Records 0..V hold the offsets, one per record, each the offset itself;
+    records V+1.. hold the arcs as target << 64 | weight records. A vertex's
+    neighborhood scan touches only its contiguous arc range.
     """
 
     def __init__(self, g: Graph, config: EmConfig):
@@ -278,18 +276,17 @@ class ExternalGraph:
         # the graph's records is built beside the vector's own block lists
         step = config.records_per_block
         for lo in range(0, len(offsets), step):
-            vec.write_run2(lo, [(off, 0) for off in offsets[lo : lo + step]])
+            vec.write_run2(lo, offsets[lo : lo + step])
         base = len(offsets)
         for lo in range(0, g.arc_count, step):
-            vec.write_run2(base + lo, list(zip(targets[lo : lo + step], weights[lo : lo + step])))
+            arcs = zip(targets[lo : lo + step], weights[lo : lo + step])
+            vec.write_run2(base + lo, [t << 64 | w for t, w in arcs])
 
     def arc_range(self, v: int) -> tuple[int, int]:
-        lo, _ = self.vector.get2(v)
-        hi, _ = self.vector.get2(v + 1)
-        return lo, hi
+        return self.vector.get2(v), self.vector.get2(v + 1)
 
-    def arcs(self, lo: int, hi: int) -> list[tuple[int, int]]:
-        """Arcs lo..hi-1 as (target, weight) pairs, in one run read."""
+    def arcs(self, lo: int, hi: int) -> list[int]:
+        """Arcs lo..hi-1 as target << 64 | weight records, in one run read."""
         base = self.vertex_count + 1
         return self.vector.read_run2(base + lo, base + hi)
 
@@ -298,8 +295,7 @@ class ExternalGraph:
         lo, hi = 0, self.vertex_count - 1
         while lo < hi:
             mid = (lo + hi + 1) >> 1
-            off, _ = self.vector.get2(mid)
-            if off <= a:
+            if self.vector.get2(mid) <= a:
                 lo = mid
             else:
                 hi = mid - 1

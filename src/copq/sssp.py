@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 
 from .binary_heap import BinaryHeap
 from .bucket_heap import BucketHeap
-from .emcore import BlockVector, EmConfig, IoStats, DEFAULT_BLOCK_BYTES, DEFAULT_CACHE_BYTES
+from .emcore import BlockVector, EmConfig, IoStats, DEFAULT_BLOCK_BYTES, DEFAULT_CACHE_BYTES, MASK64
 from .funnel_heap import FunnelHeap
 from .graphs import ExternalGraph, Graph, load_csr
 
@@ -112,10 +112,11 @@ def sssp_binary(
         order.append(v)
         if deadline is not None and not len(order) & 1023 and time.monotonic() > deadline:
             raise BenchTimeout(_result(dist, order, eg, h.vectors(), peak_heap_entries=peak))
-        for t, w in eg.arcs(*eg.arc_range(v)):
+        for arc in eg.arcs(*eg.arc_range(v)):
+            t = arc >> 64
             if dist[t] is not None:
                 continue
-            nk = d + w
+            nk = d + (arc & MASK64)
             cur = h.current_key(t)
             if cur is None:
                 h.insert(t, nk)
@@ -151,9 +152,10 @@ def sssp_funnel(
         order.append(v)
         if deadline is not None and not len(order) & 1023 and time.monotonic() > deadline:
             raise BenchTimeout(_result(dist, order, eg, h.vectors(), peak_heap_entries=peak, heap_inserts=inserts))
-        for t, w in eg.arcs(*eg.arc_range(v)):
+        for arc in eg.arcs(*eg.arc_range(v)):
+            t = arc >> 64
             if not visited[t]:
-                h.insert(t, d + w)
+                h.insert(t, d + (arc & MASK64))
                 inserts += 1
                 if len(h) > peak:
                     peak = len(h)
@@ -223,9 +225,10 @@ def sssp_bucket(
         if deadline is not None and not len(order) & 1023 and time.monotonic() > deadline:
             raise BenchTimeout(_bucket_result(dist, order, eg, main, guard, peak, guard_deletes, spurious_kills))
         lo, hi = eg.arc_range(v)
-        for a, (t, w) in enumerate(eg.arcs(lo, hi), lo):
-            main.update(t, d + w)
-            guard.update(a, d + w)  # guard named by arc index; kills v's re-insertions
+        for a, arc in enumerate(eg.arcs(lo, hi), lo):
+            nk = d + (arc & MASK64)
+            main.update(arc >> 64, nk)
+            guard.update(a, nk)  # guard named by arc index; kills v's re-insertions
         # apply the tying guards again, after the relaxations
         for u in eq_vertices:
             main.delete(u)

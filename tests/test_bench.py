@@ -15,6 +15,7 @@ from copq.bench import (
     run_sssp_bench,
     write_csv,
 )
+from copq.cli import main
 from copq.emcore import MB
 from copq.graphs import GnpSpec, SplitMix64, gen_gnp
 
@@ -108,6 +109,20 @@ class TestRunners:
 
         assert MEM_SWEEP_CACHES == [m * MB for m in (2, 4, 8, 16, 32, 64, 128, 256, 512, 1024)]
 
+    @pytest.mark.parametrize(
+        "run",
+        [
+            lambda reps: run_pq_bench("funnel", sizes=[256], reps=reps),
+            lambda reps: run_sssp_bench("funnel", [(64, gen_gnp(GnpSpec(n=64)))], reps=reps),
+            lambda reps: mem_sweep("funnel", n=256, cache_list=[1 * MB], reps=reps),
+        ],
+        ids=["pq", "sssp", "mem-sweep"],
+    )
+    def test_reps_below_one_rejected(self, run):
+        for reps in (0, -1):
+            with pytest.raises(ValueError, match="reps"):
+                run(reps)
+
     def test_repetition_changes_only_averaging(self):
         one = run_pq_bench("binary", sizes=[512], cache_bytes=1 * MB, seed=7, reps=1)[0]
         three = run_pq_bench("binary", sizes=[512], cache_bytes=1 * MB, seed=7, reps=3)[0]
@@ -199,6 +214,26 @@ class TestCli:
         assert r.returncode == 2, r.stdout
         assert "unrecognized arguments" in r.stderr
         assert not (tmp_path / "x.csv").exists()
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ("pq-bench", "--heap", "funnel", "--sizes", "256", "--reps", "0"),
+            ("pq-bench", "--heap", "binary", "--sizes", "256", "--cache-bytes", "100"),
+            ("gen-graph", "--n", "-3", "--out", "g.gr"),
+            ("verify", "--heap", "funnel", "--gnp-n", "64", "--source", "99"),
+        ],
+        ids=["reps-0", "cache-below-block", "gen-graph-negative-n", "verify-source-out-of-range"],
+    )
+    def test_bad_values_exit_2_with_one_error_line(self, args, capsys, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(SystemExit) as exit_:
+            main(list(args))
+        assert exit_.value.code == 2
+        out, err = capsys.readouterr()
+        assert [line for line in err.splitlines() if line.startswith("copq: error: ")] == [err.splitlines()[-1]]
+        assert "Traceback" not in err and out == ""
+        assert not (tmp_path / "g.gr").exists()
 
     def test_gen_graph_config_unknown_key_rejected(self, tmp_path):
         cfg = tmp_path / "spec.cfg"

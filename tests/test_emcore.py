@@ -35,6 +35,16 @@ class TestConfig:
         with pytest.raises(ValueError):
             EmConfig(16 * MB, 64, 128)
 
+    def test_geometry_must_be_integers(self):
+        # a float passes the size checks: it would fail only at the first
+        # touch, or give a float frame count
+        with pytest.raises(ValueError):
+            BlockVector(EmConfig(65536, 4096.0, 16))
+        with pytest.raises(ValueError):
+            EmConfig(65536.5, 4096, 16)
+        cfg = EmConfig(True * 65536, 4096, 16)
+        assert type(cfg.cache_bytes) is int and type(cfg.frame_count) is int
+
 
 class TestBasicSemantics:
     def test_single_block_scan_costs_one_read(self):
@@ -45,7 +55,7 @@ class TestBasicSemantics:
         v.drop_cache()
         v.reset_stats()
         for i in range(256):
-            assert v.get2(i) == (i, i * 7)
+            assert v.get2(i) == i << 64 | i * 7
         assert v.stats().block_reads == 1
 
     def test_cold_sequential_scan_exact_reads(self):
@@ -74,7 +84,7 @@ class TestBasicSemantics:
         v = make()
         v.extend(10)
         v.set2(0, 42, 7)
-        assert v.get2(0) == (42, 7)
+        assert v.get2(0) == 42 << 64 | 7
         s = v.stats()
         assert s.block_reads == 1  # the initial fault
         assert s.block_writes == 0  # nothing evicted or flushed yet
@@ -88,7 +98,7 @@ class TestBasicSemantics:
         assert s.block_reads == 2
         assert s.block_writes == 1
         assert s.evictions == 1
-        assert v.get2(0) == (1, 1)  # written-back content survives
+        assert v.get2(0) == 1 << 64 | 1  # written-back content survives
 
     def test_working_set_fits_reads_stop_growing(self):
         v = make(cache=64 * 4096, block=4096, rec=16)
@@ -101,20 +111,20 @@ class TestBasicSemantics:
     def test_push_then_flush_one_block_write(self):
         v = make()
         for i in range(256):
-            v.push2(i, i)
+            v.push2(i << 64 | i)
         v.flush()
         assert v.stats().block_writes == 1
 
     def test_flush_clears_dirty_only_once(self):
         v = make()
-        v.push2(1, 2)
+        v.push2(1 << 64 | 2)
         v.flush()
         v.flush()
         assert v.stats().block_writes == 1
 
     def test_reset_stats(self):
         v = make()
-        v.push2(1, 2)
+        v.push2(1 << 64 | 2)
         v.reset_stats()
         s = v.stats()
         assert (s.block_reads, s.block_writes, s.evictions) == (0, 0, 0)
@@ -138,7 +148,7 @@ class TestBasicSemantics:
     def test_untouched_records_read_zero(self):
         v = make()
         v.extend(1000)
-        assert v.get2(999) == (0, 0)
+        assert v.get2(999) == 0
         assert v.get(500) == bytes(16)
 
     def test_truncate_then_extend_exposes_zeros(self):
@@ -147,7 +157,7 @@ class TestBasicSemantics:
         v.set2(7, 9, 9)
         v.truncate(5)
         v.extend(10)
-        assert v.get2(7) == (0, 0)
+        assert v.get2(7) == 0
 
     def test_truncate_frees_dropped_blocks(self):
         # 64 dirty blocks against 8 frames, all dropped, then read back
@@ -156,7 +166,7 @@ class TestBasicSemantics:
         try:
             v = make(cache=8 * 4096)
             for i in range(nblocks * 256):
-                v.push2(i, i + 1)
+                v.push2(i << 64 | i + 1)
             held = tracemalloc.get_traced_memory()[0]
             v.truncate(0)
             freed = held - tracemalloc.get_traced_memory()[0]
@@ -164,7 +174,7 @@ class TestBasicSemantics:
             tracemalloc.stop()
         assert freed >= nblocks * 4096  # the bytes of every block
         v.extend(nblocks * 256)
-        assert all(v.get2(i) == (0, 0) for i in range(nblocks * 256))
+        assert all(v.get2(i) == 0 for i in range(nblocks * 256))
         # the counts of a vector that kept the dropped blocks' bytes: dropping
         # them moves no block in or out of the cache
         assert v.stats() == IoStats(block_reads=128, block_writes=64, evictions=120)
@@ -181,8 +191,8 @@ class TestArrayOracle:
             op = rng.random()
             if op < 0.35 or not oracle:
                 a, k = pair()
-                v.push2(a, k)
-                oracle.append((a, k))
+                v.push2(a << 64 | k)
+                oracle.append(a << 64 | k)
             elif op < 0.55:
                 i = rng.randrange(len(oracle))
                 assert v.peek2(i) == oracle[i]  # first, while the block may be out of cache
@@ -191,10 +201,11 @@ class TestArrayOracle:
                 i = rng.randrange(len(oracle))
                 a, k = pair()
                 v.set2(i, a, k)
-                oracle[i] = (a, k)
+                oracle[i] = a << 64 | k
             elif op < 0.75:
                 i = rng.randrange(len(oracle))
-                oracle[i] = pair()
+                a, k = pair()
+                oracle[i] = a << 64 | k
                 v.put2(i, oracle[i])
             elif op < 0.82:
                 lo = rng.randrange(len(oracle) + 1)
@@ -202,7 +213,7 @@ class TestArrayOracle:
                 assert v.read_run2(lo, hi) == oracle[lo:hi]
             elif op < 0.89:
                 lo = rng.randrange(len(oracle) + 1)
-                run = [pair() for _ in range(rng.randint(0, min(len(oracle) - lo, 12)))]
+                run = [a << 64 | k for a, k in (pair() for _ in range(rng.randint(0, min(len(oracle) - lo, 12))))]
                 v.write_run2(lo, run)
                 oracle[lo : lo + len(run)] = run
             elif op < 0.95:
@@ -212,7 +223,7 @@ class TestArrayOracle:
             else:
                 n = rng.randrange(8)
                 v.extend(n)
-                oracle.extend([(0, 0)] * n)
+                oracle.extend([0] * n)
         assert len(v) == len(oracle)
         for i, want in enumerate(oracle):
             assert v.get2(i) == want
@@ -257,7 +268,7 @@ class TestRunAccessors:
                     assert got == [twin.get2(i) for i in range(lo, hi)]
                 else:
                     pairs = [(rng.getrandbits(64), rng.getrandbits(64)) for _ in range(hi - lo)]
-                    v.write_run2(lo, pairs)
+                    v.write_run2(lo, [a << 64 | k for a, k in pairs])
                     for i, (a, k) in enumerate(pairs):
                         twin.set2(lo + i, a, k)
                 if hi > lo:
@@ -312,35 +323,35 @@ class TestRunAccessors:
                 v.read_run2(lo, hi)
         for lo, n in ((7, 2), (-1, 1), (9, 0)):
             with pytest.raises(IndexError):
-                v.write_run2(lo, [(5, 5)] * n)
+                v.write_run2(lo, [5 << 64 | 5] * n)
         assert v.stats() == before
-        assert [v.peek2(i) for i in range(8)] == [(0, 0)] * 7 + [(1, 2)]
+        assert [v.peek2(i) for i in range(8)] == [0] * 7 + [1 << 64 | 2]
 
     def test_runs_copy_records_in_and_out(self):
-        # the vector keeps the tuples, never the caller's list, and hands out
-        # a new list: mutating either list leaves the vector as it was
+        # the vector keeps the records, never the caller's list, and hands
+        # out a new list: mutating either list leaves the vector as it was
         v = make(cache=2 * 64, block=64, rec=16)
         v.extend(10)
-        pairs = [(i, i + 1) for i in range(10)]
-        v.write_run2(0, pairs)
-        pairs[3] = (99, 99)
-        pairs.clear()
+        recs = [i << 64 | i + 1 for i in range(10)]
+        v.write_run2(0, recs)
+        recs[3] = 99
+        recs.clear()
         got = v.read_run2(2, 7)
-        got[0] = (55, 55)
-        got.append((66, 66))
-        want = [(i, i + 1) for i in range(10)]
+        got[0] = 55
+        got.append(66)
+        want = [i << 64 | i + 1 for i in range(10)]
         assert v.read_run2(0, 10) == want
         assert [v.peek2(i) for i in range(10)] == want
         assert v.get(2) == struct.pack("<QQ", 2, 3)
 
-    def test_eight_byte_vector_rejected(self):
-        v = make(rec=8)
-        v.extend(4)
-        with pytest.raises(TypeError):
-            v.read_run2(0, 2)
-        with pytest.raises(TypeError):
-            v.write_run2(0, [(1, 1)])
-        assert v.stats() == IoStats()
+    def test_eight_byte_vector_takes_runs(self):
+        v = make(cache=64, block=64, rec=8)  # eight records a block, one frame
+        v.extend(12)
+        v.write_run2(6, [1, 2**64 - 1, 3])
+        assert v.read_run2(5, 10) == [0, 1, 2**64 - 1, 3, 0]
+        assert v.get(7) == struct.pack("<Q", 2**64 - 1)
+        # blocks 0, 1 written, then 0, 1 read, then 0 read: every touch faults
+        assert v.stats() == IoStats(block_reads=5, block_writes=2, evictions=4)
 
 
 class TestPeekRun:
@@ -365,7 +376,7 @@ class TestPeekRun:
                 assert v.get2(i) == twin.get2(i)
             elif op < 0.8 and n:
                 i = rng.randrange(n)
-                rec = (rng.getrandbits(64), rng.getrandbits(64))
+                rec = rng.getrandbits(64) << 64 | rng.getrandbits(64)
                 v.put2(i, rec)
                 twin.put2(i, rec)
             elif op < 0.9:
@@ -393,10 +404,10 @@ class TestPeekRun:
     def test_untouched_and_truncated_blocks_read_zero(self):
         v = make(cache=2 * 64, block=64, rec=16)
         v.extend(12)
-        v.write_run2(0, [(i, i) for i in range(1, 11)])
+        v.write_run2(0, [i << 64 | i for i in range(1, 11)])
         v.truncate(6)  # drops block 2 whole and the tail of block 1
         v.extend(10)  # block 3 and beyond were never touched
-        assert v.peek_run2(0, 16) == [(i, i) for i in range(1, 7)] + [(0, 0)] * 10
+        assert v.peek_run2(0, 16) == [i << 64 | i for i in range(1, 7)] + [0] * 10
         assert v.stats() == IoStats(block_reads=3, block_writes=1, evictions=1)
 
     def test_out_of_range_and_record_size(self):
@@ -408,24 +419,23 @@ class TestPeekRun:
         assert v.peek_run2(8, 8) == []
         w = make(rec=8)
         w.extend(4)
-        with pytest.raises(TypeError):
-            w.peek_run2(0, 2)
+        assert w.peek_run2(0, 2) == [0, 0]
         assert v.stats() == w.stats() == IoStats()
 
     def test_returns_a_copy(self):
         v = make(cache=2 * 64, block=64, rec=16)
         v.extend(10)
-        v.write_run2(0, [(i, i + 1) for i in range(10)])
+        v.write_run2(0, [i << 64 | i + 1 for i in range(10)])
         got = v.peek_run2(2, 7)
-        got[0] = (55, 55)
-        got.append((66, 66))
-        assert v.peek_run2(0, 10) == [(i, i + 1) for i in range(10)]
+        got[0] = 55
+        got.append(66)
+        assert v.peek_run2(0, 10) == [i << 64 | i + 1 for i in range(10)]
 
 
 class TestBytesBoundary:
-    """get/set see a record as its bytes; the vector holds it as a value."""
+    """get/set see a record as its bytes; the vector holds it as an int."""
 
-    @pytest.mark.parametrize("rec", [16, 8, 12])
+    @pytest.mark.parametrize("rec", [16, 8])
     def test_set_get_round_trip(self, rec):
         v = make(rec=rec)
         v.extend(3)
@@ -434,25 +444,30 @@ class TestBytesBoundary:
         assert v.get(1) == payload
         assert v.get(0) == bytes(rec)
 
+    @pytest.mark.parametrize("rec", [12, 4, 32])
+    def test_other_record_sizes_rejected(self, rec):
+        with pytest.raises(ValueError):
+            make(rec=rec)
+
     def test_values_and_bytes_agree(self):
         v2, v1 = make(rec=16), make(rec=8)
         v2.extend(2)
         v1.extend(2)
-        v2.put2(0, (2**64 - 1, 7))
-        v1.set1(0, 2**63 + 5)
+        v2.put2(0, (2**64 - 1) << 64 | 7)
+        v1.put2(0, 2**63 + 5)
         assert v2.get(0) == struct.pack("<QQ", 2**64 - 1, 7)
         assert v1.get(0) == struct.pack("<Q", 2**63 + 5)
         v2.set(1, struct.pack("<QQ", 3, 4))
         v1.set(1, struct.pack("<Q", 9))
-        assert (v2.get2(1), v1.get1(1)) == ((3, 4), 9)
+        assert (v2.get2(1), v1.get2(1)) == (3 << 64 | 4, 9)
 
 
 class TestRecordMemory:
-    """Bytes a heap holds per record, by tracemalloc: a record is a tuple of
-    two ints in a block's list (plus, for the binary heap, its position
-    entry). The bounds are the values measured when the record-value layout
-    was introduced (binary 167, funnel 126 B/record at N = 2^14, Python
-    3.11) plus a 25 % margin."""
+    """Bytes a heap holds per record, by tracemalloc: a record is an int in a
+    block's list (plus, for the binary heap, its position entry). The bounds
+    are the values measured when records became values, as two-int tuples
+    (binary 167, funnel 126 B/record at N = 2^14, Python 3.11), plus a 25 %
+    margin."""
 
     @pytest.mark.parametrize("heap,bound", [(BinaryHeap, 210), (FunnelHeap, 160)])
     def test_bytes_per_record(self, heap, bound):

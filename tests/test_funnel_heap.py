@@ -65,7 +65,7 @@ class TestSweep:
         for i in range(200):
             k = rng.getrandbits(16)
             h.insert(i, k)
-            inserted.append((k, i))
+            inserted.append(k << 64 | i)
         assert h._live_items() == sorted(inserted)
 
     def test_layout_tiles_the_vector_and_producers_wire_the_funnel(self):

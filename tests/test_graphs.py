@@ -159,7 +159,7 @@ class TestExternalGraph:
         g = gen_gnp(GnpSpec(n=120, seed=9))
         eg = load_csr(g)
         for v in range(g.vertex_count):
-            assert eg.arcs(*eg.arc_range(v)) == list(g.neighbors(v))
+            assert eg.arcs(*eg.arc_range(v)) == [t << 64 | w for t, w in g.neighbors(v)]
 
     def test_cold_arc_scan_read_count(self):
         g = gen_gnp(GnpSpec(n=400, seed=11))

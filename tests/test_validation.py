@@ -4,15 +4,17 @@ structure still passes check_invariants() and holds exactly what the oracle
 holds. What a 64-bit field takes is accepted and stored as a plain int:
 ints, bools and objects with __index__."""
 
+import struct
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from copq.binary_heap import BinaryHeap
 from copq.bucket_heap import BucketHeap
-from copq.emcore import U64
+from copq.emcore import MASK64, U64
 from copq.funnel_heap import FunnelHeap
 
-from oracles import MinMapPQ
+from oracles import MinMapPQ, MultisetPQ
 
 BAD = [-1, -(1 << 70), U64, U64 + 12345, 2.5, 3.0, "7", None]  # outside [0, 2^64), or no integer
 
@@ -32,7 +34,7 @@ def rejected(call, *args):
 
 
 def binary_contents(h):
-    return {ident: key for key, ident in map(h.heap.peek2, range(len(h)))}
+    return {rec & MASK64: rec >> 64 for rec in map(h.heap.peek2, range(len(h)))}
 
 
 @given(trace(7))
@@ -85,7 +87,7 @@ def test_funnel_heap_rejects_without_change(ops):
         else:
             rejected(*[(h.insert, bad, key), (h.insert, ident, bad), (h.insert, bad, bad)][op - 3])
             h.check_invariants()
-            assert h._live_items() == sorted(live)
+            assert h._live_items() == sorted(key << 64 | ident for key, ident in live)
     for key, ident in sorted(live):
         assert h.delete_min() == (ident, key)
     assert h.find_min() is None
@@ -151,3 +153,54 @@ def test_index_objects_in_the_keyed_operations():
     u.update(5, 90)
     u.delete(Index(5))
     assert u._live_map() == {3: 40}
+
+
+EDGES = [0, 1, 1 << 63, U64 - 2, U64 - 1]  # where a mask, shift or sentinel slip shows
+
+
+def min_record_bytes(h):
+    """The bytes of the record a heap holding one element stores for it."""
+    if isinstance(h, BinaryHeap):
+        return h.heap.get(0)
+    if isinstance(h, FunnelHeap):
+        return h.vector.get(h._I.start + h._I.head)
+    top = h._levels[0]  # find_min has moved the element into the top bucket
+    return h.vector.get(top.bstart + top.bhead)
+
+
+@pytest.mark.parametrize("heap", [BinaryHeap, FunnelHeap, BucketHeap])
+def test_extreme_fields_through_the_record_packing(heap):
+    keys = EDGES[:-1] if heap is BucketHeap else EDGES  # 2^64 - 1 is the bucket heap's delete key
+    for ident in EDGES:
+        for key in keys:
+            h = heap(cache_bytes=4 * 256, block_bytes=256)
+            h.insert(ident, key)
+            assert h.find_min() == (ident, key)
+            assert min_record_bytes(h) == struct.pack("<QQ", key, ident)
+            if heap is BinaryHeap:
+                assert h.current_key(ident) == key
+            assert h.delete_min() == (ident, key)
+    # every id with each key in turn; the binary heap's live ids are unique,
+    # so it empties after each round, the others hold all rounds at once
+    h = heap(cache_bytes=4 * 256, block_bytes=256)
+    oracle = MinMapPQ() if heap is BucketHeap else MultisetPQ()
+    add = oracle.update if heap is BucketHeap else oracle.insert
+
+    def pop_all():
+        while len(oracle):
+            assert h.delete_min() == oracle.delete_min()
+            h.check_invariants()
+
+    for r in range(len(keys)):
+        for j, ident in enumerate(EDGES):
+            key = keys[(j + r) % len(keys)]
+            h.insert(ident, key)
+            add(ident, key)
+            h.check_invariants()
+        if heap is BinaryHeap:
+            pop_all()
+    if heap is BucketHeap:
+        h.delete(U64 - 1)
+        oracle.delete(U64 - 1)
+    pop_all()
+    assert h.find_min() is None
