@@ -158,6 +158,8 @@ def run_pq_bench(
     timeout_secs: float | None = None,
 ) -> list[BenchRecord]:
     sizes = PQ_SIZES if sizes is None else sizes
+    if any(n < 1 for n in sizes):
+        raise ValueError(f"sizes must be at least 1, got {min(sizes)}")
 
     def run(n, rep_seed):
         heap = HEAPS[structure](cache_bytes, block_bytes)
@@ -192,6 +194,8 @@ def run_sssp_bench(
     vertices; its row then holds the counts of the part that ran.
     """
     fn = SSSP[structure]
+    if any(g.vertex_count < 1 for _, g in graphs):
+        raise ValueError("every graph needs at least one vertex")
 
     def run(g, rep_seed):
         eg = load_csr(g, EmConfig(cache_bytes, block_bytes, 16))

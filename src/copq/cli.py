@@ -49,15 +49,28 @@ def _parse_list(text: str, kind=int) -> list:
     return [kind(t) for t in text.replace(",", " ").split()]
 
 
+def _open(path: str, mode: str = "r"):
+    """The ASCII file at path, an OSError raised as a ValueError naming it."""
+    try:
+        return open(path, mode, encoding="ascii")
+    except OSError as e:
+        raise ValueError(f"{path}: {e.strerror}") from None
+
+
 def _read_dimacs(path: str) -> Graph:
-    with open(path, encoding="ascii") as fh:
-        return parse_dimacs(fh)
+    """The graph in a DIMACS file; a file that cannot be read or parsed is a
+    ValueError naming it."""
+    with _open(path) as fh:
+        try:
+            return parse_dimacs(fh)
+        except ValueError as e:  # a DimacsError, or bytes that are not ASCII
+            raise ValueError(f"{path}: {e}") from None
 
 
 def _load_gen_config(path: str) -> dict:
     """key=value graph spec file: n, p, wmax, seed (commas or newlines between)."""
     vals = {}
-    with open(path, encoding="ascii") as fh:
+    with _open(path) as fh:
         for item in fh.read().replace(",", " ").split():
             key, _, value = item.partition("=")
             try:
@@ -135,14 +148,14 @@ def main(argv: list[str] | None = None) -> int:
 
     if args.cmd == "gen-graph":
         g = gen_gnp(checked(_gnp_spec_from, args))
-        with open(args.out, "w", encoding="ascii") as fh:
+        with checked(_open, args.out, "w") as fh:
             fh.write(write_dimacs(g))
         print(f"wrote {args.out}: V={g.vertex_count} arcs={g.arc_count}", file=sys.stderr)
         return 0
 
     if args.cmd == "verify":
         if args.dimacs:
-            g = _read_dimacs(args.dimacs)
+            g = checked(_read_dimacs, args.dimacs)
         elif args.gnp_n:
             g = gen_gnp(checked(GnpSpec, n=args.gnp_n, weight_max=args.wmax, seed=args.seed))
         else:
@@ -151,8 +164,8 @@ def main(argv: list[str] | None = None) -> int:
         checked(EmConfig, cache, args.block_bytes)
         if not 0 <= args.source < g.vertex_count:
             ap.error(f"--source {args.source} out of range [0, {g.vertex_count})")
-        res = SSSP[args.heap](
-            g, args.source, pq_cache_bytes=cache, graph_cache_bytes=cache, block_bytes=args.block_bytes
+        res = checked(
+            SSSP[args.heap], g, args.source, pq_cache_bytes=cache, graph_cache_bytes=cache, block_bytes=args.block_bytes
         )
         want = sssp_reference(g, args.source).dist
         bad = first_mismatch(res.dist, want)
@@ -179,18 +192,21 @@ def main(argv: list[str] | None = None) -> int:
     runs = dict(block_bytes=args.block_bytes, seed=args.seed, reps=args.reps, timeout_secs=args.timeout_secs)
     if args.cmd == "pq-bench":
         sizes = _parse_list(args.sizes) if args.sizes else None
-        records = run_pq_bench(args.heap, sizes, cache_bytes=caches[0], **runs)
+        records = checked(run_pq_bench, args.heap, sizes, cache_bytes=caches[0], **runs)
     elif args.cmd == "sssp-bench":
         if args.dimacs:
-            graphs = [(g.vertex_count, g) for g in map(_read_dimacs, args.dimacs)]
+            parsed = [checked(_read_dimacs, path) for path in args.dimacs]
+            graphs = [(g.vertex_count, g) for g in parsed]
         else:
             sizes = _parse_list(args.gnp_sizes) if args.gnp_sizes else SSSP_RANDOM_SIZES
             graphs = [(n, gen_gnp(checked(GnpSpec, n=n, weight_max=args.wmax, seed=args.seed))) for n in sizes]
-        records = run_sssp_bench(args.heap, graphs, cache_bytes=caches[0], verify_cap=args.verify_cap, **runs)
+        records = checked(
+            run_sssp_bench, args.heap, graphs, cache_bytes=caches[0], verify_cap=args.verify_cap, **runs
+        )
     else:
-        records = mem_sweep(args.heap, args.n, caches, **runs)
+        records = checked(mem_sweep, args.heap, args.n, caches, **runs)
     if args.csv:
-        with open(args.csv, "w", encoding="ascii") as fh:
+        with checked(_open, args.csv, "w") as fh:
             write_csv(records, fh)
     else:
         write_csv(records, sys.stdout)

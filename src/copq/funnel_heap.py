@@ -27,19 +27,6 @@ from .emcore import BlockVector, EmConfig, DEFAULT_BLOCK_BYTES, DEFAULT_CACHE_BY
 _INSERTION_CAP = 8  # s_1; also the insertion buffer capacity
 
 
-def _next_pow2(x: int) -> int:
-    return 1 if x <= 1 else 1 << (x - 1).bit_length()
-
-
-def _icbrt_ceil(s: int) -> int:
-    r = max(1, round(s ** (1.0 / 3.0)))
-    while r**3 < s:
-        r += 1
-    while (r - 1) ** 3 >= s:
-        r -= 1
-    return r
-
-
 def _merger_split(k: int) -> tuple[int, int]:
     """Fan-ins (top, bottom) of the recursive split of a k-merger, k = 2^j > 2."""
     j = k.bit_length() - 1
@@ -74,7 +61,7 @@ def _link_params(num: int) -> tuple[int, int, int, int, int, int]:
         else:
             ps, pk = _PARAMS[-1][0], _PARAMS[-1][1]
             s = ps * (pk + 1)
-            k = _next_pow2(_icbrt_ceil(s))
+            k = 1 << -(-(s - 1).bit_length() // 3)  # least power of two with k^3 >= s
         acap = s * (k + 1)  # = s_{i+1}
         bcap = k**3
         intsz = _intsize(k)

@@ -12,7 +12,8 @@ from __future__ import annotations
 import math
 from array import array
 from dataclasses import dataclass
-from itertools import accumulate
+from itertools import accumulate, chain, repeat
+from operator import le, sub
 
 from .emcore import BlockVector, EmConfig, DEFAULT_BLOCK_BYTES, DEFAULT_CACHE_BYTES, MASK64
 
@@ -63,32 +64,48 @@ class Graph:
             yield self.targets[a], self.weights[a]
 
     def is_symmetric(self) -> bool:
-        """True when every arc (u,v,w) has a matching reverse arc (v,u,w)."""
-        counts: dict[tuple[int, int, int], int] = {}
-        for u in range(self.vertex_count):
-            for v, w in self.neighbors(u):
-                counts[(u, v, w)] = counts.get((u, v, w), 0) + 1
-        for (u, v, w), c in counts.items():
-            if counts.get((v, u, w), 0) != c:
+        """True when every arc (u,v,w) has a matching reverse arc (v,u,w), with
+        multiplicity: each vertex's arcs permute its arcs in the reverse graph."""
+        n, offsets, targets, weights = self.vertex_count, self.offsets, self.targets, self.weights
+        sources = list(chain.from_iterable(map(repeat, range(n), map(sub, offsets[1:], offsets))))
+        try:
+            rev = _csr(n, targets, sources, weights)
+        except IndexError:  # a target at or above n, which no arc can mirror
+            return False
+        if rev.offsets != offsets:
+            return False
+        for lo, hi in zip(offsets, offsets[1:]):
+            if sorted(zip(targets[lo:hi], weights[lo:hi])) != sorted(zip(rev.targets[lo:hi], rev.weights[lo:hi])):
                 return False
         return True
 
     @classmethod
     def from_arcs(cls, n: int, arcs: list[tuple[int, int, int]]) -> "Graph":
         """Build CSR from (source, target, weight) triples, preserving the
-        per-vertex arrival order of arcs."""
-        adj: list[list[tuple[int, int]]] = [[] for _ in range(n)]
-        for u, v, w in arcs:
-            adj[u].append((v, w))
-        offsets = [0]
-        targets: list[int] = []
-        weights: list[int] = []
-        for u in range(n):
-            for v, w in adj[u]:
-                targets.append(v)
-                weights.append(w)
-            offsets.append(len(targets))
-        return cls(offsets, targets, weights)
+        per-vertex arrival order of arcs. A source or target outside [0, n)
+        is a ValueError."""
+        sources, targets, weights = zip(*arcs, strict=True) if arcs else ((), (), ())
+        for ends in (sources, targets):
+            if ends and not 0 <= min(ends) <= max(ends) < n:
+                raise ValueError(f"an arc's source or target is outside [0, {n})")
+        return _csr(n, sources, targets, weights)
+
+
+def _csr(n: int, sources, targets, weights) -> Graph:
+    """The CSR of arcs (sources[i], targets[i], weights[i]), ends in [0, n): the degrees
+    give the offsets, and one pass places each arc at its source's cursor, in arrival order."""
+    degree = [0] * n
+    for u in sources:
+        degree[u] += 1
+    offsets = [0, *accumulate(degree)]
+    cursor = offsets[:-1]
+    placed_targets, placed_weights = [0] * len(targets), [0] * len(targets)
+    for u, v, w in zip(sources, targets, weights):
+        a = cursor[u]
+        placed_targets[a] = v
+        placed_weights[a] = w
+        cursor[u] = a + 1
+    return Graph(offsets, placed_targets, placed_weights)
 
 
 @dataclass
@@ -119,11 +136,9 @@ def gen_gnp(spec: GnpSpec) -> Graph:
     Each unordered pair {u,v} is kept independently with probability p; a
     kept edge gets one weight and two arcs. Deterministic per seed.
 
-    The CSR is built directly: the kept edges are listed in generation
-    order, the vertex degrees give the offsets, and one pass over the edges
-    places arc (u,v) and then arc (v,u), so each vertex's arcs keep their
-    arrival order. Every arc names one shared int object per vertex id and
-    per weight value.
+    Kept edge i gives arcs 2i = (u,v) and 2i+1 = (v,u) to the CSR builder, so each
+    vertex's arcs keep their generation order. Every arc names one shared int
+    object per vertex id and per weight value.
     """
     rng = SplitMix64(spec.seed)
     n, p, wmax = spec.n, spec.p, spec.weight_max
@@ -149,24 +164,11 @@ def gen_gnp(spec: GnpSpec) -> Graph:
                 w = rng.randint(1, wmax)
                 ends += (u, vertex[v])
                 wts.append(weight.setdefault(w, w))
-    degree = [0] * n
-    for u in ends:
-        degree[u] += 1
-    offsets = [0, *accumulate(degree)]
-    targets = [0] * len(ends)
-    weights = [0] * len(ends)
-    cursor = offsets[:-1]
-    it = iter(ends)
-    for u, v, w in zip(it, it, wts):
-        a = cursor[u]
-        targets[a] = v
-        weights[a] = w
-        cursor[u] = a + 1
-        a = cursor[v]
-        targets[a] = u
-        weights[a] = w
-        cursor[v] = a + 1
-    return Graph(offsets, targets, weights)
+    targets = ends[:]  # arc 2i is (u_i, v_i), arc 2i+1 is (v_i, u_i)
+    targets[::2], targets[1::2] = ends[1::2], ends[::2]
+    weights = wts * 2
+    weights[::2] = weights[1::2] = wts
+    return _csr(n, ends, targets, weights)
 
 
 class DimacsError(ValueError):
@@ -187,7 +189,7 @@ def parse_dimacs(source) -> Graph:
     else:
         lines = source
     n = m = None
-    arcs: list[tuple[int, int, int]] = []
+    sources, targets, weights = [], [], []  # arc columns, in file order
     line_no = 0
     for raw in lines:
         line_no += 1
@@ -224,14 +226,16 @@ def parse_dimacs(source) -> Graph:
                 raise DimacsError(f"non-positive weight {w}", line_no)
             if w > MASK64:
                 raise DimacsError(f"weight {w} does not fit 64 bits", line_no)
-            arcs.append((u - 1, v - 1, w))
+            sources.append(u - 1)
+            targets.append(v - 1)
+            weights.append(w)
         else:
             raise DimacsError(f"unrecognized line {line!r}", line_no)
     if n is None:
         raise DimacsError("missing problem line", line_no)
-    if len(arcs) != m:
-        raise DimacsError(f"problem line promised {m} arcs, found {len(arcs)}", line_no)
-    return Graph.from_arcs(n, arcs)
+    if len(sources) != m:
+        raise DimacsError(f"problem line promised {m} arcs, found {len(sources)}", line_no)
+    return _csr(n, sources, targets, weights)
 
 
 def write_dimacs(g: Graph) -> str:
@@ -266,6 +270,13 @@ class ExternalGraph:
                 ok = False
             if not ok:
                 raise ValueError("offsets, targets and weights must be integers in [0, 2^64)")
+        # and the structure, in C-speed passes too
+        if not offsets or offsets[0] != 0 or offsets[-1] != len(targets) or not all(map(le, offsets, offsets[1:])):
+            raise ValueError("offsets must start at 0, never decrease and end at len(targets)")
+        if len(weights) != len(targets):
+            raise ValueError(f"{len(weights)} weights for {len(targets)} targets")
+        if targets and max(targets) >= g.vertex_count:
+            raise ValueError(f"a target is not below the vertex count {g.vertex_count}")
         self.vector = BlockVector(config)
         self.vertex_count = g.vertex_count
         self.arc_count = g.arc_count

@@ -6,6 +6,7 @@ code paths it validates.
 
 import heapq
 import math
+from collections import Counter
 
 from copq.graphs import Graph, SplitMix64
 
@@ -144,6 +145,13 @@ def bellman_ford(graph, source):
         if not changed:
             break
     return [None if d == inf else d for d in dist]
+
+
+def is_symmetric_reference(graph):
+    """Brute force: the multiset of (u, v, w) arcs equals the multiset of
+    their reverses (v, u, w)."""
+    arcs = Counter((u, v, w) for u in range(graph.vertex_count) for v, w in graph.neighbors(u))
+    return arcs == Counter({(v, u, w): c for (u, v, w), c in arcs.items()})
 
 
 def gen_gnp_reference(spec):

@@ -21,6 +21,8 @@ from copq.graphs import GnpSpec, SplitMix64, gen_gnp
 
 from oracles import MultisetPQ
 
+JSON_FILE = Path(__file__).parent / "data" / "golden_counters.json"
+
 _MASK64 = (1 << 64) - 1
 
 
@@ -123,6 +125,19 @@ class TestRunners:
             with pytest.raises(ValueError, match="reps"):
                 run(reps)
 
+    @pytest.mark.parametrize(
+        "run",
+        [
+            lambda n: run_pq_bench("funnel", sizes=[256, n], reps=1),
+            lambda n: mem_sweep("funnel", n=n, cache_list=[1 * MB], reps=1),
+        ],
+        ids=["pq", "mem-sweep"],
+    )
+    def test_sizes_below_one_rejected(self, run):
+        for n in (0, -5):
+            with pytest.raises(ValueError, match="sizes must be at least 1"):
+                run(n)
+
     def test_repetition_changes_only_averaging(self):
         one = run_pq_bench("binary", sizes=[512], cache_bytes=1 * MB, seed=7, reps=1)[0]
         three = run_pq_bench("binary", sizes=[512], cache_bytes=1 * MB, seed=7, reps=3)[0]
@@ -222,8 +237,19 @@ class TestCli:
             ("pq-bench", "--heap", "binary", "--sizes", "256", "--cache-bytes", "100"),
             ("gen-graph", "--n", "-3", "--out", "g.gr"),
             ("verify", "--heap", "funnel", "--gnp-n", "64", "--source", "99"),
+            ("pq-bench", "--heap", "funnel", "--sizes", "-5", "--reps", "1"),
+            ("pq-bench", "--heap", "funnel", "--sizes", "256 0", "--reps", "1"),
+            ("mem-sweep", "--heap", "funnel", "--n", "-3", "--cache-mb-list", "1", "--reps", "1"),
         ],
-        ids=["reps-0", "cache-below-block", "gen-graph-negative-n", "verify-source-out-of-range"],
+        ids=[
+            "reps-0",
+            "cache-below-block",
+            "gen-graph-negative-n",
+            "verify-source-out-of-range",
+            "pq-bench-negative-size",
+            "pq-bench-zero-size",
+            "mem-sweep-negative-n",
+        ],
     )
     def test_bad_values_exit_2_with_one_error_line(self, args, capsys, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
@@ -234,6 +260,54 @@ class TestCli:
         assert [line for line in err.splitlines() if line.startswith("copq: error: ")] == [err.splitlines()[-1]]
         assert "Traceback" not in err and out == ""
         assert not (tmp_path / "g.gr").exists()
+
+    @pytest.mark.parametrize(
+        "args,path",
+        [
+            (("verify", "--heap", "funnel", "--dimacs", JSON_FILE), JSON_FILE),
+            (("verify", "--heap", "funnel", "--dimacs", "missing.gr"), "missing.gr"),
+            (("sssp-bench", "--heap", "funnel", "--dimacs", "missing.gr"), "missing.gr"),
+            (("gen-graph", "--n", "8", "--out", "no/such/dir/g.gr"), "no/such/dir/g.gr"),
+            (("gen-graph", "--config", "missing.cfg", "--out", "g.gr"), "missing.cfg"),
+            (("pq-bench", "--heap", "funnel", "--sizes", "16", "--reps", "1", "--csv", "no/x.csv"), "no/x.csv"),
+        ],
+        ids=[
+            "verify-not-dimacs",
+            "verify-missing-file",
+            "sssp-bench-missing-file",
+            "gen-graph-out-dir-missing",
+            "gen-graph-config-missing",
+            "pq-bench-csv-dir-missing",
+        ],
+    )
+    def test_unusable_files_exit_2_naming_the_path(self, args, path, capsys, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(SystemExit) as exit_:
+            main([str(a) for a in args])
+        assert exit_.value.code == 2
+        out, err = capsys.readouterr()
+        assert [line for line in err.splitlines() if line.startswith("copq: error: ")] == [err.splitlines()[-1]]
+        assert err.splitlines()[-1].startswith(f"copq: error: {path}: ")
+        assert "Traceback" not in err and out == ""
+
+    @pytest.mark.parametrize(
+        "cmd,heap,text,message",
+        [
+            ("sssp-bench", "binary", "p sp 0 0\n", "every graph needs at least one vertex"),
+            ("sssp-bench", "bucket", "p sp 2 1\na 1 2 5\n", "requires an undirected (symmetric) graph"),
+            ("verify", "bucket", "p sp 2 1\na 1 2 5\n", "requires an undirected (symmetric) graph"),
+        ],
+        ids=["sssp-bench-no-vertices", "sssp-bench-bucket-directed", "verify-bucket-directed"],
+    )
+    def test_graph_a_run_cannot_take_exits_2(self, cmd, heap, text, message, capsys, tmp_path):
+        gr = tmp_path / "g.gr"
+        gr.write_text(text)
+        with pytest.raises(SystemExit) as exit_:
+            main([cmd, "--heap", heap, "--dimacs", str(gr)])
+        assert exit_.value.code == 2
+        out, err = capsys.readouterr()
+        assert err.splitlines()[-1].startswith("copq: error: ") and message in err.splitlines()[-1]
+        assert "Traceback" not in err and out == ""
 
     def test_gen_graph_config_unknown_key_rejected(self, tmp_path):
         cfg = tmp_path / "spec.cfg"

@@ -111,6 +111,23 @@ class TestSweep:
             assert link_total > prev_total, f"link {num} not bigger than all shallower"
             prev_total += link_total
 
+    def test_link_run_sizes_and_fan_ins_pinned(self):
+        # s_{i+1} = s_i (k_i + 1), and k_i is the least power of two whose
+        # cube is at least s_i, in exact integer arithmetic
+        assert [_link_params(i)[:2] for i in range(1, 12)] == [
+            (8, 2),
+            (24, 4),
+            (120, 8),
+            (1080, 16),
+            (18360, 32),
+            (605880, 128),
+            (78158520, 512),
+            (40095320760, 4096),
+            (164270529153720, 65536),
+            (10765797669147347640, 4194304),
+            (45155038992693065943190200, 536870912),
+        ]
+
     def test_link_count_bound_for_2_22_inserts(self):
         # a new link L+1 is only built once every leaf of links 1..L has been
         # used, which takes at least 8 * prod(k_j) inserts; show 2^22 inserts

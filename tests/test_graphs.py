@@ -2,6 +2,7 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from copq.emcore import EmConfig, MB
 from copq.graphs import (
@@ -16,7 +17,21 @@ from copq.graphs import (
     write_dimacs,
 )
 
-from oracles import gen_gnp_reference
+from oracles import gen_gnp_reference, is_symmetric_reference
+
+
+@st.composite
+def multigraphs(draw):
+    """n <= 8 vertices with parallel arcs, self-loops and weights in [1, 3]:
+    often mirrored, so symmetric, then perhaps given a few stray arcs; every
+    vertex's arcs arrive in a scrambled order."""
+    n = draw(st.integers(1, 8))
+    arc = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1), st.integers(1, 3))
+    arcs = draw(st.lists(arc, max_size=12))
+    if draw(st.booleans()):
+        arcs += [(v, u, w) for u, v, w in arcs]
+    arcs += draw(st.lists(arc, max_size=2))
+    return Graph.from_arcs(n, draw(st.permutations(arcs)))
 
 
 class TestGnp:
@@ -90,6 +105,52 @@ class TestGnp:
         assert r.next() == 0x06C45D188009454F
 
 
+class TestSymmetry:
+    @settings(max_examples=300, deadline=None)
+    @given(multigraphs())
+    def test_matches_the_brute_force_oracle(self, g):
+        assert g.is_symmetric() == is_symmetric_reference(g)
+
+    @pytest.mark.parametrize(
+        "n,arcs,symmetric",
+        [
+            (3, [(0, 1, 2), (2, 0, 1), (0, 2, 1), (0, 1, 3), (1, 0, 3), (1, 0, 2), (1, 1, 5)], True),
+            (2, [(0, 1, 4), (1, 0, 4), (0, 1, 4)], False),
+            (2, [(0, 1, 4), (1, 0, 5)], False),
+            # every in-degree equals its out-degree and every arc has a reverse,
+            # but the cycle 0→1→2→0 runs twice and its reverse once
+            (3, [(0, 1, 1), (1, 2, 1), (2, 0, 1)] * 2 + [(0, 2, 1), (2, 1, 1), (1, 0, 1)], False),
+            (3, [], True),
+        ],
+        ids=[
+            "scrambled-parallel-and-loop",
+            "u-to-v-twice-v-to-u-once",
+            "unequal-weights",
+            "balanced-degrees-unequal-multiplicity",
+            "no-arcs",
+        ],
+    )
+    def test_named_cases(self, n, arcs, symmetric):
+        g = Graph.from_arcs(n, arcs)
+        assert is_symmetric_reference(g) == symmetric
+        assert g.is_symmetric() == symmetric
+
+    @pytest.mark.parametrize("target", [2, 5, -1])
+    def test_target_outside_the_vertices_has_no_reverse(self, target):
+        assert not Graph([0, 1, 2], [1, target], [4, 4]).is_symmetric()
+
+
+class TestFromArcs:
+    def test_arrival_order_kept_per_vertex(self):
+        g = Graph.from_arcs(3, [(2, 0, 1), (0, 2, 7), (2, 1, 3), (0, 1, 9), (2, 0, 2)])
+        assert g == Graph([0, 2, 2, 5], [2, 1, 0, 1, 0], [7, 9, 1, 3, 2])
+
+    @pytest.mark.parametrize("arc", [(-1, 0, 3), (2, 0, 3), (0, -1, 3), (0, 2, 3)])
+    def test_endpoint_outside_the_vertex_range_raises_value_error(self, arc):
+        with pytest.raises(ValueError, match="outside \\[0, 2\\)"):
+            Graph.from_arcs(2, [(0, 1, 1), arc])
+
+
 class TestDimacs:
     def test_parse_basic(self):
         g = parse_dimacs("c tiny\np sp 2 2\na 1 2 7\na 2 1 7\n")
@@ -144,6 +205,13 @@ class TestDimacs:
         lines = write_dimacs(g).splitlines(keepends=True)
         assert parse_dimacs(iter(lines)) == g
 
+    def test_arcs_out_of_vertex_order_parse_like_from_arcs(self):
+        arcs = [(3, 0, 5), (0, 1, 2), (3, 2, 9), (1, 0, 2), (0, 3, 5), (2, 3, 9), (0, 1, 7), (3, 0, 4)]
+        text = f"p sp 4 {len(arcs)}\n" + "".join(f"a {u + 1} {v + 1} {w}\n" for u, v, w in arcs)
+        g = parse_dimacs(text)
+        assert g == Graph.from_arcs(4, arcs)
+        assert list(g.neighbors(3)) == [(0, 5), (2, 9), (0, 4)]
+
     def test_parallel_arcs_tolerated(self):
         g = parse_dimacs("p sp 2 4\na 1 2 7\na 1 2 9\na 2 1 7\na 2 1 9\n")
         assert g.arc_count == 4
@@ -193,6 +261,33 @@ class TestExternalGraph:
     def test_record_overflow_raises_value_error(self, targets, weights):
         with pytest.raises(ValueError, match="2\\^64"):
             load_csr(Graph([0, 1, 1], targets, weights))
+
+    @pytest.mark.parametrize(
+        "offsets,targets,weights,fragment",
+        [
+            ([0, 1], [5], [1], "not below the vertex count 1"),
+            ([0, 2, 1], [1, 0], [1, 1], "never decrease"),
+            ([1, 1, 1], [0], [1], "start at 0"),
+            ([0, 1, 1], [1, 0], [1, 1], "end at len\\(targets\\)"),
+            ([0, 2, 2], [1], [1], "end at len\\(targets\\)"),
+            ([], [], [], "start at 0"),
+            ([0, 2, 2], [1, 1], [1], "1 weights for 2 targets"),
+            ([0, 1, 1], [1], [1, 1], "2 weights for 1 targets"),
+        ],
+        ids=[
+            "target-not-below-V",
+            "offsets-decrease",
+            "offsets-start-above-0",
+            "offsets-end-short",
+            "offsets-end-long",
+            "no-offsets",
+            "weights-short",
+            "weights-long",
+        ],
+    )
+    def test_malformed_structure_raises_value_error(self, offsets, targets, weights, fragment):
+        with pytest.raises(ValueError, match=fragment):
+            load_csr(Graph(offsets, targets, weights))
 
     @pytest.mark.parametrize(
         "offsets,targets,weights",
