@@ -29,6 +29,8 @@ class BinaryHeap:
     ):
         self.heap = BlockVector(EmConfig(cache_bytes, block_bytes, 16))
         self.positions = BlockVector(EmConfig(cache_bytes, block_bytes, 8))
+        self._rpb = self.heap.config.records_per_block
+        self._wide = self.heap.config.frame_count >= 4  # see copq.emcore
         # ids below it have a position record; len(positions) would overflow
         # Py_ssize_t once an id reaches 2^63
         self._ids = 0
@@ -61,7 +63,7 @@ class BinaryHeap:
         i = self._n
         self._n += 1
         item = key << 64 | ident
-        self.heap.push2(item)
+        self.heap.extend(1)
         self._pos_set(ident, i + 1)
         self._sift_up(i, item)
 
@@ -80,7 +82,6 @@ class BinaryHeap:
         self.heap.truncate(self._n - 1)
         self._n -= 1
         if self._n:
-            self.heap.put2(0, last)
             self._pos_set(last & MASK64, 1)
             self._sift_down(0, last)
         return top & MASK64, top >> 64
@@ -96,9 +97,7 @@ class BinaryHeap:
             raise ValueError(f"decrease_key to {new_key} would raise key {cur}")
         if new_key == cur:
             return
-        item = new_key << 64 | ident
-        self.heap.put2(i, item)
-        self._sift_up(i, item)
+        self._sift_up(i, new_key << 64 | ident)
 
     def current_key(self, ident: int) -> int | None:
         """Key of a live id, or None. Costs the position + heap reads."""
@@ -109,38 +108,85 @@ class BinaryHeap:
         return self.heap.get2(p - 1) >> 64
 
     def _sift_up(self, i: int, item: int) -> None:
-        heap, pos = self.heap, self.positions
+        """Store item at slot i, then move it up to its place; the heap's
+        callers leave the store to the sifts."""
+        # Charged by the window rule (see copq.emcore): the store of item,
+        # then each path block once, dirty, when the path enters it, and the
+        # final block again after reading a parent block the path does not
+        # enter. With fewer than four frames every read and write is charged
+        # as it happens, like get2 and put2 would.
+        touch, pos = self.heap.touch, self.positions
+        r, wide = self._rpb, self._wide
+        cur = i // r
+        data = touch(cur, True)
         while i > 0:
             parent = (i - 1) >> 1
-            p = heap.get2(parent)
+            pb = parent // r
+            pdata = data if wide and pb == cur else touch(pb, False)
+            p = pdata[parent - pb * r]
             if p <= item:
                 break
-            heap.put2(i, p)
+            if not wide:
+                touch(cur, True)
+            elif pb != cur:
+                touch(pb, True)  # pb is the last block touched: no switch
+            data[i - cur * r] = p
             pos.put2(p & MASK64, i + 1)
-            i = parent
-        heap.put2(i, item)
+            i, cur, data = parent, pb, pdata
+        touch(cur, True)
+        data[i - cur * r] = item
         pos.put2(item & MASK64, i + 1)
 
     def _sift_down(self, i: int, item: int) -> None:
-        heap, pos = self.heap, self.positions
-        n = self._n
+        """Store item at slot i, then move it down to its place."""
+        # Charged like _sift_up. A step whose children share one block
+        # touches the path's block again if it is not the last block touched
+        # (after a straddling step), then the children's block, which it marks
+        # dirty if the path enters it. A step whose children straddle two
+        # blocks charges the two reads and the write as they happen.
+        touch, pos = self.heap.touch, self.positions
+        r, n, wide = self._rpb, self._n, self._wide
+        cur = i // r
+        data = touch(cur, True)
+        top = cur  # the last block touched
         while True:
             left = 2 * i + 1
             if left >= n:
                 break
-            c = heap.get2(left)
-            child = left
+            lb = left // r
             right = left + 1
-            if right < n:
-                r = heap.get2(right)
-                if r < c:
-                    child, c = right, r
-            if item <= c:
-                break
-            heap.put2(i, c)
+            rb = right // r if right < n else lb
+            if wide and lb == rb:
+                if top != cur:
+                    touch(cur, True)
+                cdata = data if lb == cur else touch(lb, False)
+                top = cb = lb
+                o = left - lb * r
+                c, child = cdata[o], left
+                if right < n and cdata[o + 1] < c:
+                    c, child = cdata[o + 1], right
+                if item <= c:
+                    break
+                if lb != cur:
+                    touch(lb, True)  # lb is the last block touched: no switch
+            else:
+                cdata = touch(lb, False)
+                c, child, cb = cdata[left - lb * r], left, lb
+                top = lb
+                if right < n:
+                    rdata = touch(rb, False)
+                    top = rb
+                    if rdata[right - rb * r] < c:
+                        c, child, cb, cdata = rdata[right - rb * r], right, rb, rdata
+                if item <= c:
+                    break
+                touch(cur, True)
+                top = cur
+            data[i - cur * r] = c
             pos.put2(c & MASK64, i + 1)
-            i = child
-        heap.put2(i, item)
+            i, cur, data = child, cb, cdata
+        touch(cur, True)
+        data[i - cur * r] = item
         pos.put2(item & MASK64, i + 1)
 
     def check_invariants(self) -> None:

@@ -28,14 +28,39 @@ list slice per block: they touch each block of the range once, in ascending
 order, and count exactly like the per-record ``get2``/``put2`` loop over the
 same range. ``peek_run2`` is the stat-free run form of ``peek2``.
 
-The funnel heap's merge reads a block window with ``peek_run2`` and charges
-it by touches: per record, a window touches its out block and the blocks of
-its two inputs, interleaved, over at most three blocks. With at least three
-frames none of them can be evicted before the window ends, so only a block's
-first touch can fault and only its last touch sets its place in the LRU
-order. Touching each block once in first-touch order, then once in
-last-touch order, therefore gives the per-record sequence's reads, writes,
-evictions, dirty flags and LRU order.
+``touch(b, dirty)`` charges one ``get2`` (``dirty`` false) or ``put2``
+(``dirty`` true) of a record in block b and returns that block's live record
+list, for callers that move records by list operations and charge the
+blocks themselves.
+
+The window rule, a property of each vector's LRU cache: take a stretch of
+consecutive touches whose distinct blocks fit the frames. No block of the
+stretch can be evicted after its first touch in it, so only a block's first
+touch can fault, evictions take blocks from outside the stretch, and only a
+block's last touch sets its place in the LRU order. Any other touch sequence
+over the same blocks with the same first-touch order, the same last-touch
+order and the same dirty blocks therefore gives the same reads, writes,
+evictions, dirty flags and LRU order at the end of the stretch. Since the
+state at the end is the same, the rule can be applied stretch after
+stretch, each time to the sequence the last rewrite left. It has two users:
+
+- The funnel heap's merge (``_Merger.fill``) moves a block window at a
+  time. Per record, a window touches its out block and the blocks of its
+  two inputs, interleaved, over at most three blocks; with at least three
+  frames it is charged by touching each block once in first-touch order,
+  then once in last-touch order.
+- The binary heap's sifts (``BinaryHeap._sift_down``, ``_sift_up``) move
+  records in the lists ``touch`` returns. Per record, a sift over the path
+  blocks b0, b1, ..., bL reads b(j+1) and then writes b(j) at each step:
+  b0 b1 b0 b2 b1 ... bL b(L-1) bL. The stretch b(j-1) b(j) b(j-1) b(j+1)
+  b(j) holds three blocks and has the first-touch and last-touch orders of
+  b(j-1) b(j) b(j+1) b(j), so rewriting step after step leaves b0 b1 ... bL:
+  each path block is charged once, dirty, when the path enters it, and a
+  sift that stops after reading a block C it does not enter ends with C bL.
+  Sift-down children that straddle two blocks are charged read by read,
+  and the stretches around them hold at most four blocks. So with at least
+  four frames a sift switches blocks about L+2 times instead of 2L; with
+  fewer it charges each read and write as it happens.
 """
 
 from __future__ import annotations
@@ -230,6 +255,19 @@ class BlockVector:
     def set2(self, i: int, a: int, k: int) -> None:
         """Store the 16-byte record with fields a and k at index i."""
         self.put2(i, a << 64 | k)
+
+    def touch(self, b: int, dirty: bool) -> list[int]:
+        """Charge one get2 (dirty false) or put2 (dirty true) of a record in
+        block b and return the block's live record list: records b * rpb
+        onwards, which the caller may read and, after a dirty touch, write.
+        The list stays the block's until truncate drops the block."""
+        if b != self._last_block:
+            if not 0 <= b * self._rpb < self._length:
+                raise IndexError(f"block {b} holds no record below {self._length}")
+            self._switch(b, dirty)
+        elif dirty:
+            self._resident[b] = True
+        return self._last_data
 
     def read_run2(self, lo: int, hi: int) -> list[int]:
         """Records lo..hi-1, in a new list. Touches and counts exactly like

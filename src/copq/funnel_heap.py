@@ -129,15 +129,21 @@ class _Ring:
 
 class _Merger:
     """Binary merger filling its output ring with up to `batch` records per
-    call; it becomes the output ring's producer."""
+    call; it becomes the output ring's producer.
 
-    __slots__ = ("out", "left", "right", "batch")
+    `dry` is set when a fill ends with both input rings empty and both
+    producers dry or absent: the merger's whole subtree is empty, so a fill
+    would output nothing and touch no block, and callers skip it. A sweep
+    clears it on every merger of the links it refills."""
+
+    __slots__ = ("out", "left", "right", "batch", "dry")
 
     def __init__(self, out: _Ring, left: _Ring, right: _Ring, batch: int):
         self.out = out
         self.left = left
         self.right = right
         self.batch = batch
+        self.dry = False
         out.producer = self
 
     def fill(self, vec: BlockVector) -> None:
@@ -176,7 +182,7 @@ class _Merger:
         while ocount < want:
             mru = None  # the side whose head read, if any, is the last touch so far
             if L is None:
-                if lring.count == 0 and lprod is not None:
+                if lring.count == 0 and lprod is not None and not lprod.dry:
                     out.count = ocount
                     lprod.fill(vec)
                 L, li = (), 0
@@ -195,7 +201,7 @@ class _Merger:
                         n = want - ocount
                     L = peek_run2(l0, l0 + n) if n > 1 else [head]
             if R is None:
-                if rring.count == 0 and rprod is not None:
+                if rring.count == 0 and rprod is not None and not rprod.dry:
                     out.count = ocount
                     rprod.fill(vec)
                     mru = None
@@ -286,6 +292,11 @@ class _Merger:
             else:
                 R = None
         out.count = ocount
+        self.dry = (
+            lring.count == rring.count == 0
+            and (lprod is None or lprod.dry)
+            and (rprod is None or rprod.dry)
+        )
 
 
 def _build_kmerger(pos: int, k: int, inputs: list[_Ring], out: _Ring, internals: list[_Ring]) -> int:
@@ -308,7 +319,7 @@ def _build_kmerger(pos: int, k: int, inputs: list[_Ring], out: _Ring, internals:
 
 
 class _Link:
-    __slots__ = ("A", "B", "leaves", "c", "internals")
+    __slots__ = ("A", "B", "leaves", "c", "internals", "mergers")
 
     def __init__(self, A, B, leaves, internals):
         self.A = A  # output of the chain merger A.producer: B merged with the next link's A
@@ -316,6 +327,7 @@ class _Link:
         self.leaves = leaves
         self.c = 0  # leaves [0, c) are in use or exhausted
         self.internals = internals
+        self.mergers = [A.producer, B.producer] + [r.producer for r in internals]
 
 
 class FunnelHeap:
@@ -387,7 +399,7 @@ class FunnelHeap:
             ring = self._I
         if self._links:
             a1 = self._links[0].A
-            if a1.count == 0:
+            if a1.count == 0 and not a1.producer.dry:
                 a1.producer.fill(vec)
             if a1.count:
                 cand = a1.peek(vec)
@@ -427,6 +439,8 @@ class FunnelHeap:
         run = self._I.drain(vec)
         self._imirror.clear()
         for ln in self._links[: idx + 1]:
+            for m in ln.mergers:
+                m.dry = False
             run.extend(ln.A.drain(vec))
             run.extend(ln.B.drain(vec))
             for r in ln.internals:

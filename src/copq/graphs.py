@@ -83,8 +83,12 @@ class Graph:
     def from_arcs(cls, n: int, arcs: list[tuple[int, int, int]]) -> "Graph":
         """Build CSR from (source, target, weight) triples, preserving the
         per-vertex arrival order of arcs. A source or target outside [0, n)
-        is a ValueError."""
-        sources, targets, weights = zip(*arcs, strict=True) if arcs else ((), (), ())
+        is a ValueError, and so is an arc that is not a triple."""
+        try:
+            sources, targets, weights = zip(*arcs, strict=True) if arcs else ((), (), ())
+        except ValueError:
+            a, arc = next((a, arc) for a, arc in enumerate(arcs) if len(arc) != 3)
+            raise ValueError(f"arc {a} is {arc!r}, not a (source, target, weight) triple") from None
         for ends in (sources, targets):
             if ends and not 0 <= min(ends) <= max(ends) < n:
                 raise ValueError(f"an arc's source or target is outside [0, {n})")
@@ -190,6 +194,7 @@ def parse_dimacs(source) -> Graph:
         lines = source
     n = m = None
     sources, targets, weights = [], [], []  # arc columns, in file order
+    weight: dict[int, int] = {}  # one shared int object per weight value
     line_no = 0
     for raw in lines:
         line_no += 1
@@ -228,7 +233,7 @@ def parse_dimacs(source) -> Graph:
                 raise DimacsError(f"weight {w} does not fit 64 bits", line_no)
             sources.append(u - 1)
             targets.append(v - 1)
-            weights.append(w)
+            weights.append(weight.setdefault(w, w))
         else:
             raise DimacsError(f"unrecognized line {line!r}", line_no)
     if n is None:

@@ -8,6 +8,7 @@ import heapq
 import math
 from collections import Counter
 
+from copq.emcore import MASK64
 from copq.graphs import Graph, SplitMix64
 
 
@@ -223,3 +224,49 @@ def reference_fill(merger, vec):
             opos = 0
         out.count += 1
         src.advance()
+
+
+def reference_sift_up(heap, i, item):
+    """The binary heap's sift-up one record at a time: a put2 of item at slot
+    i, then a get2 for each parent it reads and a put2 for each slot it
+    writes, in path order. A drop-in for copq.binary_heap.BinaryHeap._sift_up;
+    the library's windowed sift must count exactly like it."""
+    vec, pos = heap.heap, heap.positions
+    vec.put2(i, item)
+    while i > 0:
+        parent = (i - 1) >> 1
+        p = vec.get2(parent)
+        if p <= item:
+            break
+        vec.put2(i, p)
+        pos.put2(p & MASK64, i + 1)
+        i = parent
+    vec.put2(i, item)
+    pos.put2(item & MASK64, i + 1)
+
+
+def reference_sift_down(heap, i, item):
+    """The binary heap's sift-down one record at a time: a put2 of item at
+    slot i, then per step a get2 of the left and then the right child and a
+    put2 of the slot it leaves, in path order. A drop-in for
+    copq.binary_heap.BinaryHeap._sift_down."""
+    vec, pos = heap.heap, heap.positions
+    vec.put2(i, item)
+    n = len(heap)
+    while True:
+        left = 2 * i + 1
+        if left >= n:
+            break
+        c = vec.get2(left)
+        child = left
+        if left + 1 < n:
+            r = vec.get2(left + 1)
+            if r < c:
+                child, c = left + 1, r
+        if item <= c:
+            break
+        vec.put2(i, c)
+        pos.put2(c & MASK64, i + 1)
+        i = child
+    vec.put2(i, item)
+    pos.put2(item & MASK64, i + 1)

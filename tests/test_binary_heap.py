@@ -3,9 +3,9 @@ import random
 import pytest
 
 from copq.binary_heap import BinaryHeap
-from copq.emcore import MB
+from copq.emcore import MB, BlockVector
 
-from oracles import MultisetPQ
+from oracles import MultisetPQ, reference_sift_down, reference_sift_up
 
 
 def make(cache=1 * MB):
@@ -175,3 +175,84 @@ class TestIoAccounting:
             return s.transfers / (2 * n)
 
         assert per_op(1 << 14) < per_op(1 << 18)
+
+
+def _counted_trace(seed, block, frames, ops=6000):
+    """Pops and both vectors' stats() after each op of a seeded insert,
+    delete_min and decrease_key trace, then stats() after a final
+    drop_cache(). One seed in three draws keys from [0, 20), so many records
+    tie."""
+    h = BinaryHeap(cache_bytes=frames * block, block_bytes=block)
+    rng = random.Random(seed)
+    key = (lambda: rng.randrange(20)) if seed % 3 == 0 else (lambda: rng.getrandbits(24))
+    live = {}
+    log = []
+    ident = 0
+    for step in range(ops):
+        # grow for the first half, shrink in the second
+        x = rng.random()
+        if not live or x < (0.6 if step < ops // 2 else 0.2):
+            k = key()
+            h.insert(ident, k)
+            live[ident] = k
+            ident += 1
+            out = None
+        elif x < (0.75 if step < ops // 2 else 0.35):
+            i = rng.choice(list(live))
+            live[i] = rng.randrange(live[i] + 1)
+            h.decrease_key(i, live[i])
+            out = None
+        else:
+            out = h.delete_min()
+            del live[out[0]]
+        log.append((out, h.heap.stats(), h.positions.stats()))
+    for vec in h.vectors().values():
+        vec.drop_cache()
+    log.append((None, h.heap.stats(), h.positions.stats()))
+    return log
+
+
+SIFT_GRID = [(block, frames) for block in (16, 32, 64, 256) for frames in (1, 2, 3, 4, 8)]
+
+
+class TestWindowSift:
+    """The sifts charge the heap vector a block window at a time; they must
+    count exactly like the per-record sifts, oracles.reference_sift_down and
+    reference_sift_up. At B = 32, 64 and 256 the children of the last slot
+    of a block straddle two blocks, and block 1 is read again one level
+    further down when the path stays in block 0."""
+
+    @pytest.mark.parametrize("block,frames", SIFT_GRID)
+    def test_counts_like_per_record_sift(self, block, frames, monkeypatch):
+        seed = SIFT_GRID.index((block, frames))
+        with monkeypatch.context() as m:
+            m.setattr(BinaryHeap, "_sift_down", reference_sift_down)
+            m.setattr(BinaryHeap, "_sift_up", reference_sift_up)
+            want = _counted_trace(seed, block, frames)
+        got = _counted_trace(seed, block, frames)
+        bad = next((i for i, (a, b) in enumerate(zip(got, want)) if a != b), None)
+        assert bad is None, f"op {bad}: windowed sift {got[bad]}, per-record sift {want[bad]}"
+        assert len(got) == len(want)
+
+    def test_delete_min_switches_per_path_block(self, monkeypatch):
+        # N = 2^12, B = 4 KB (256 records), 16 frames: a delete_min's sift
+        # runs through block 0 and then one block per level, four levels.
+        # The per-record sifts make 11,271 switches over these 1,000
+        # delete_mins, about two per level below block 0; the window charge
+        # makes about one. Pinned so a refactor cannot fall back silently.
+        h = BinaryHeap(cache_bytes=64 * 1024, block_bytes=4096)
+        rng = random.Random(5)
+        for i in range(1 << 12):
+            h.insert(i, rng.getrandbits(40))
+        switches = []
+        switch = BlockVector._switch
+
+        def counted(vec, b, dirty):
+            if vec is h.heap:
+                switches.append(b)
+            switch(vec, b, dirty)
+
+        monkeypatch.setattr(BlockVector, "_switch", counted)
+        for _ in range(1000):
+            h.delete_min()
+        assert len(switches) == 6965

@@ -432,6 +432,52 @@ class TestPeekRun:
         assert v.peek_run2(0, 10) == [i << 64 | i + 1 for i in range(10)]
 
 
+class TestTouch:
+    """touch(b, dirty) against a twin vector that makes the same trace with
+    get2 (dirty false) and put2 (dirty true) of a record in block b."""
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_touch_counts_like_get2_and_put2(self, seed):
+        rng = random.Random(seed)
+        v, twin = make(cache=3 * 64, block=64, rec=16), make(cache=3 * 64, block=64, rec=16)
+        v.extend(40)
+        twin.extend(40)
+        for _ in range(3000):
+            n = len(v)
+            op = rng.random()
+            if op < 0.85 and n:
+                i = rng.randrange(n)
+                b, off = divmod(i, 4)
+                if op < 0.45:
+                    assert v.touch(b, False)[off] == twin.get2(i)
+                else:
+                    rec = rng.getrandbits(128)
+                    v.touch(b, True)[off] = rec
+                    twin.put2(i, rec)
+            elif op < 0.93:
+                m = rng.randrange(n + 1)
+                v.truncate(m)
+                twin.truncate(m)
+            else:
+                m = rng.randrange(12)
+                v.extend(m)
+                twin.extend(m)
+            assert v.stats() == twin.stats()
+            assert v.peek_run2(0, len(v)) == twin.peek_run2(0, len(twin))
+        v.drop_cache()
+        twin.drop_cache()
+        assert v.stats() == twin.stats()  # equal write-backs: equal dirty flags
+
+    def test_block_without_a_record_raises_before_any_touch(self):
+        v = make(cache=2 * 64, block=64, rec=16)
+        v.extend(5)  # blocks 0 and 1
+        v.touch(1, False)
+        for b in (2, -1):
+            with pytest.raises(IndexError):
+                v.touch(b, False)
+        assert v.stats() == IoStats(1, 0, 0)
+
+
 class TestBytesBoundary:
     """get/set see a record as its bytes; the vector holds it as an int."""
 

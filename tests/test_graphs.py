@@ -150,6 +150,11 @@ class TestFromArcs:
         with pytest.raises(ValueError, match="outside \\[0, 2\\)"):
             Graph.from_arcs(2, [(0, 1, 1), arc])
 
+    @pytest.mark.parametrize("arcs,bad", [([(0, 1, 3), (0, 1)], 1), ([(0, 1, 3, 4)], 0), ([(0, 1)], 0)])
+    def test_arc_that_is_not_a_triple_names_its_index(self, arcs, bad):
+        with pytest.raises(ValueError, match=f"^arc {bad} is .*not a \\(source, target, weight\\) triple"):
+            Graph.from_arcs(2, arcs)
+
 
 class TestDimacs:
     def test_parse_basic(self):
@@ -204,6 +209,11 @@ class TestDimacs:
         g = gen_gnp(GnpSpec(n=40, seed=1))
         lines = write_dimacs(g).splitlines(keepends=True)
         assert parse_dimacs(iter(lines)) == g
+
+    def test_equal_weights_share_one_int(self):
+        g = parse_dimacs("p sp 3 3\na 1 2 100000\na 2 3 100000\na 3 1 100001\n")
+        assert g.weights == [100000, 100000, 100001]
+        assert g.weights[0] is g.weights[1]
 
     def test_arcs_out_of_vertex_order_parse_like_from_arcs(self):
         arcs = [(3, 0, 5), (0, 1, 2), (3, 2, 9), (1, 0, 2), (0, 3, 5), (2, 3, 9), (0, 1, 7), (3, 0, 4)]
