@@ -26,12 +26,15 @@ repeated touch cannot change LRU order or fault counts). The run accessors
 ``read_run2``/``write_run2`` move a contiguous range of records at once, one
 list slice per block: they touch each block of the range once, in ascending
 order, and count exactly like the per-record ``get2``/``put2`` loop over the
-same range. ``peek_run2`` is the stat-free run form of ``peek2``.
+same range. ``peek_run2`` is the stat-free run form of ``peek2``, and
+``peek_lru`` the stat-free view of the cache: the resident blocks and their
+dirty flags in LRU order.
 
 ``touch(b, dirty)`` charges one ``get2`` (``dirty`` false) or ``put2``
 (``dirty`` true) of a record in block b and returns that block's live record
 list, for callers that move records by list operations and charge the
-blocks themselves.
+blocks themselves: the funnel heap's merge and the binary heap's sifts,
+both below.
 
 The window rule, a property of each vector's LRU cache: take a stretch of
 consecutive touches whose distinct blocks fit the frames. No block of the
@@ -48,7 +51,9 @@ stretch, each time to the sequence the last rewrite left. It has two users:
   time. Per record, a window touches its out block and the blocks of its
   two inputs, interleaved, over at most three blocks; with at least three
   frames it is charged by touching each block once in first-touch order,
-  then once in last-touch order.
+  then once in last-touch order. A window never leaves its blocks, so it
+  reads its inputs as slices of the lists ``touch`` returns and stores its
+  outputs by a slice assignment to the out block's list.
 - The binary heap's sifts (``BinaryHeap._sift_down``, ``_sift_up``) move
   records in the lists ``touch`` returns. Per record, a sift over the path
   blocks b0, b1, ..., bL reads b(j+1) and then writes b(j) at each step:
@@ -342,6 +347,11 @@ class BlockVector:
                 out += data[off : off + end - i]
             i = end
         return out
+
+    def peek_lru(self) -> list[tuple[int, bool]]:
+        """The resident blocks as (block, dirty) pairs, least recently used
+        first: the cache state the counters follow. Stat-free, like peek2."""
+        return list(self._resident.items())
 
     # -- length management --------------------------------------------------------
 

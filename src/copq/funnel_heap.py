@@ -134,28 +134,32 @@ class _Merger:
     `dry` is set when a fill ends with both input rings empty and both
     producers dry or absent: the merger's whole subtree is empty, so a fill
     would output nothing and touch no block, and callers skip it. A sweep
-    clears it on every merger of the links it refills."""
+    clears it on every merger of the links it refills.
 
-    __slots__ = ("out", "left", "right", "batch", "dry")
+    `rpb` is the vector's records per block and `wide` whether it has the
+    three frames a block window needs; the heap reads both once."""
 
-    def __init__(self, out: _Ring, left: _Ring, right: _Ring, batch: int):
+    __slots__ = ("out", "left", "right", "batch", "dry", "rpb", "wide")
+
+    def __init__(self, out: _Ring, left: _Ring, right: _Ring, batch: int, geom: tuple[int, bool]):
         self.out = out
         self.left = left
         self.right = right
         self.batch = batch
         self.dry = False
+        self.rpb, self.wide = geom
         out.producer = self
 
     def fill(self, vec: BlockVector) -> None:
         # A side L (R) is None until its head is read, () while its whole
-        # subtree is empty, else the records of its current block from the
-        # head on, peeked at the head read; li (ri) indexes the head in it.
-        # A head step reads a head with get2, after a child fill if its ring
-        # ran empty; out.count is stored back before a child fills and at the
-        # end. Then a block window moves at once: the outputs up to the first
-        # point where the out ring or a side ring would leave its current
-        # block, wrap or run empty, or the batch is full; the left side wins
-        # ties.
+        # subtree is empty, else the records of its current block lb (rb)
+        # from the head on, sliced from the list a touch of the block returns
+        # at the head read; li (ri) indexes the head in it. A head step reads
+        # a head, after a child fill if its ring ran empty; out.count is
+        # stored back before a child fills and at the end. Then a block window
+        # moves at once: the outputs up to the first point where the out ring
+        # or a side ring would leave its current block, wrap or run empty, or
+        # the batch is full; the left side wins ties.
         #
         # Exactness: per record, a window touches O S O S ... O (O the out
         # block, each S the block of the side the output before it consumed)
@@ -163,13 +167,14 @@ class _Merger:
         # blocks, nor the block of the head step's last read (mru), can be
         # evicted before the window ends, so only a block's first touch can
         # fault and only its last touch places it in the LRU order. The window
-        # is therefore charged by its write, a get2 of each side block read in
-        # it other than mru's, then get2s that leave the side of output n-1
-        # and the out block on top; with fewer frames a window is one output,
-        # the per-record sequence itself.
-        get2, peek_run2, write_run2 = vec.get2, vec.peek_run2, vec.write_run2
-        rpb = vec.config.records_per_block
-        wide = vec.config.frame_count >= 3
+        # is therefore charged by a dirty touch of O that stores its outputs,
+        # a touch of each side block read in it other than mru's, then touches
+        # that leave the side of output n-1 and O on top; with fewer frames a
+        # window is one output, the per-record sequence itself. A window never
+        # leaves its blocks, so every touch charges like a get2 (a put2 when
+        # dirty) of a record in the block.
+        touch = vec.touch
+        rpb, wide = self.rpb, self.wide
         out = self.out
         want = self.batch
         ostart, ocap, ocount = out.start, out.cap, out.count
@@ -187,19 +192,18 @@ class _Merger:
                     lprod.fill(vec)
                 L, li = (), 0
                 if lring.count:
-                    l0 = lring.start + lring.head
-                    head = get2(l0)
+                    lb, off = divmod(lring.start + lring.head, rpb)
                     mru = lring
                     # the side's records to the end of its block, its wrap or its
                     # last record, at most what this fill can still output
-                    n = rpb - l0 % rpb
+                    n = rpb - off
                     if lring.cap - lring.head < n:
                         n = lring.cap - lring.head
                     if lring.count < n:
                         n = lring.count
                     if want - ocount < n:
                         n = want - ocount
-                    L = peek_run2(l0, l0 + n) if n > 1 else [head]
+                    L = touch(lb, False)[off : off + n]
             if R is None:
                 if rring.count == 0 and rprod is not None and not rprod.dry:
                     out.count = ocount
@@ -207,21 +211,18 @@ class _Merger:
                     mru = None
                 R, ri = (), 0
                 if rring.count:
-                    r0 = rring.start + rring.head
-                    head = get2(r0)
+                    rb, off = divmod(rring.start + rring.head, rpb)
                     mru = rring
-                    # the side's records to the end of its block, its wrap or its
-                    # last record, at most what this fill can still output
-                    n = rpb - r0 % rpb
+                    n = rpb - off
                     if rring.cap - rring.head < n:
                         n = rring.cap - rring.head
                     if rring.count < n:
                         n = rring.count
                     if want - ocount < n:
                         n = want - ocount
-                    R = peek_run2(r0, r0 + n) if n > 1 else [head]
-            o = ostart + opos
-            t = rpb - o % rpb if wide else 1
+                    R = touch(rb, False)[off : off + n]
+            ob, off = divmod(ostart + opos, rpb)
+            t = rpb - off if wide else 1
             if ocap - opos < t:
                 t = ocap - opos
             if want - ocount < t:
@@ -255,21 +256,21 @@ class _Merger:
                             last_left = True
                             break
                         x = L[i]
-            write_run2(o, merged)  # the out block: the window's first touch
+            n = len(merged)
+            touch(ob, True)[off : off + n] = merged  # O: the window's first touch
             # the sides read inside the window are those of outputs 1..n-1
             lread, rread = i - last_left > li, j - (not last_left) > ri
             if lread and rread:
                 # the head step read one of them (mru), so mru is not None
                 mru_left = mru is lring
                 late_left = R[j - 2 + last_left] < L[i - 1 - last_left]  # side of output n-1
-                get2(r0 if mru_left else l0)
+                touch(rb if mru_left else lb, False)
                 if late_left == mru_left:
-                    get2(l0 if late_left else r0)
-                get2(o)
+                    touch(lb if late_left else rb, False)
+                touch(ob, False)
             elif (lread or rread) and mru is not (lring if lread else rring):
-                get2(l0 if lread else r0)
-                get2(o)
-            n = len(merged)
+                touch(lb if lread else rb, False)
+                touch(ob, False)
             opos += n
             if opos == ocap:
                 opos = 0
@@ -299,12 +300,14 @@ class _Merger:
         )
 
 
-def _build_kmerger(pos: int, k: int, inputs: list[_Ring], out: _Ring, internals: list[_Ring]) -> int:
+def _build_kmerger(
+    pos: int, k: int, inputs: list[_Ring], out: _Ring, internals: list[_Ring], geom: tuple[int, bool]
+) -> int:
     """Recursively laid-out k-merger from record `pos` on: top sub-merger
     region first, then the middle buffers, then the bottom sub-mergers, all
     contiguous. Returns the first record past the region."""
     if k == 2:
-        _Merger(out, inputs[0], inputs[1], out.cap)
+        _Merger(out, inputs[0], inputs[1], out.cap, geom)
         return pos
     top_f, bot_f = _merger_split(k)
     top_pos = pos
@@ -313,8 +316,8 @@ def _build_kmerger(pos: int, k: int, inputs: list[_Ring], out: _Ring, internals:
     internals.extend(mids)
     pos += top_f * bot_f**3
     for t in range(top_f):
-        pos = _build_kmerger(pos, bot_f, inputs[t * bot_f : (t + 1) * bot_f], mids[t], internals)
-    _build_kmerger(top_pos, top_f, mids, out, internals)
+        pos = _build_kmerger(pos, bot_f, inputs[t * bot_f : (t + 1) * bot_f], mids[t], internals, geom)
+    _build_kmerger(top_pos, top_f, mids, out, internals, geom)
     return pos
 
 
@@ -337,6 +340,8 @@ class FunnelHeap:
         block_bytes: int = DEFAULT_BLOCK_BYTES,
     ):
         self.vector = BlockVector(EmConfig(cache_bytes, block_bytes, 16))
+        self._rpb = self.vector.config.records_per_block
+        self._wide = self.vector.config.frame_count >= 3  # see _Merger.fill
         self.vector.extend(_INSERTION_CAP)
         self._I = _Ring(0, _INSERTION_CAP)
         # sorted mirror of the insertion buffer: spares re-reading its one hot
@@ -421,8 +426,9 @@ class FunnelHeap:
         leaf_base = base + acap + bcap + intsz
         leaves = [_Ring(leaf_base + t * leafcap, leafcap) for t in range(k)]
         internals: list[_Ring] = []
-        _build_kmerger(base + acap + bcap, k, leaves, B, internals)
-        _Merger(A, B, _Ring(0, 0), batch=s)
+        geom = (self._rpb, self._wide)
+        _build_kmerger(base + acap + bcap, k, leaves, B, internals, geom)
+        _Merger(A, B, _Ring(0, 0), s, geom)
         if self._links:
             self._links[-1].A.producer.right = A
         self._links.append(_Link(A, B, leaves, internals))

@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from array import array
 from dataclasses import dataclass
-from itertools import accumulate, chain, repeat
+from itertools import accumulate, chain, islice, repeat
 from operator import le, sub
 
 from .emcore import BlockVector, EmConfig, DEFAULT_BLOCK_BYTES, DEFAULT_CACHE_BYTES, MASK64
@@ -97,13 +97,14 @@ class Graph:
 
 def _csr(n: int, sources, targets, weights) -> Graph:
     """The CSR of arcs (sources[i], targets[i], weights[i]), ends in [0, n): the degrees
-    give the offsets, and one pass places each arc at its source's cursor, in arrival order."""
+    give the offsets, and one pass places each arc at its source's cursor, in arrival order.
+    sources is a sequence, read twice; targets and weights may be iterators."""
     degree = [0] * n
     for u in sources:
         degree[u] += 1
     offsets = [0, *accumulate(degree)]
     cursor = offsets[:-1]
-    placed_targets, placed_weights = [0] * len(targets), [0] * len(targets)
+    placed_targets, placed_weights = [0] * len(sources), [0] * len(sources)
     for u, v, w in zip(sources, targets, weights):
         a = cursor[u]
         placed_targets[a] = v
@@ -168,11 +169,9 @@ def gen_gnp(spec: GnpSpec) -> Graph:
                 w = rng.randint(1, wmax)
                 ends += (u, vertex[v])
                 wts.append(weight.setdefault(w, w))
-    targets = ends[:]  # arc 2i is (u_i, v_i), arc 2i+1 is (v_i, u_i)
-    targets[::2], targets[1::2] = ends[1::2], ends[::2]
-    weights = wts * 2
-    weights[::2] = weights[1::2] = wts
-    return _csr(n, ends, targets, weights)
+    # arc 2i is (u_i, v_i), arc 2i+1 is (v_i, u_i), both with weight wts[i]
+    targets = chain.from_iterable(zip(islice(ends, 1, None, 2), islice(ends, 0, None, 2)))
+    return _csr(n, ends, targets, chain.from_iterable(zip(wts, wts)))
 
 
 class DimacsError(ValueError):
@@ -195,6 +194,7 @@ def parse_dimacs(source) -> Graph:
     n = m = None
     sources, targets, weights = [], [], []  # arc columns, in file order
     weight: dict[int, int] = {}  # one shared int object per weight value
+    vertex: dict[int, int] = {}  # file id -> one shared 0-based int per vertex named
     line_no = 0
     for raw in lines:
         line_no += 1
@@ -231,8 +231,8 @@ def parse_dimacs(source) -> Graph:
                 raise DimacsError(f"non-positive weight {w}", line_no)
             if w > MASK64:
                 raise DimacsError(f"weight {w} does not fit 64 bits", line_no)
-            sources.append(u - 1)
-            targets.append(v - 1)
+            sources.append(vertex.setdefault(u, u - 1))
+            targets.append(vertex.setdefault(v, v - 1))
             weights.append(weight.setdefault(w, w))
         else:
             raise DimacsError(f"unrecognized line {line!r}", line_no)

@@ -178,10 +178,10 @@ class TestIoAccounting:
 
 
 def _counted_trace(seed, block, frames, ops=6000):
-    """Pops and both vectors' stats() after each op of a seeded insert,
-    delete_min and decrease_key trace, then stats() after a final
-    drop_cache(). One seed in three draws keys from [0, 20), so many records
-    tie."""
+    """Pops and both vectors' stats() and LRU state (peek_lru) after each op
+    of a seeded insert, delete_min and decrease_key trace, then stats() after
+    a final drop_cache(). One seed in three draws keys from [0, 20), so many
+    records tie."""
     h = BinaryHeap(cache_bytes=frames * block, block_bytes=block)
     rng = random.Random(seed)
     key = (lambda: rng.randrange(20)) if seed % 3 == 0 else (lambda: rng.getrandbits(24))
@@ -205,7 +205,7 @@ def _counted_trace(seed, block, frames, ops=6000):
         else:
             out = h.delete_min()
             del live[out[0]]
-        log.append((out, h.heap.stats(), h.positions.stats()))
+        log.append((out, h.heap.stats(), h.positions.stats(), h.heap.peek_lru(), h.positions.peek_lru()))
     for vec in h.vectors().values():
         vec.drop_cache()
     log.append((None, h.heap.stats(), h.positions.stats()))
@@ -218,9 +218,9 @@ SIFT_GRID = [(block, frames) for block in (16, 32, 64, 256) for frames in (1, 2,
 class TestWindowSift:
     """The sifts charge the heap vector a block window at a time; they must
     count exactly like the per-record sifts, oracles.reference_sift_down and
-    reference_sift_up. At B = 32, 64 and 256 the children of the last slot
-    of a block straddle two blocks, and block 1 is read again one level
-    further down when the path stays in block 0."""
+    reference_sift_up, and leave the same LRU state. At B = 32, 64 and 256
+    the children of the last slot of a block straddle two blocks, and block
+    1 is read again one level further down when the path stays in block 0."""
 
     @pytest.mark.parametrize("block,frames", SIFT_GRID)
     def test_counts_like_per_record_sift(self, block, frames, monkeypatch):

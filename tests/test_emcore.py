@@ -290,6 +290,7 @@ class TestRunAccessors:
                 v.extend(m)
                 twin.extend(m)
             assert v.stats() == twin.stats()
+            assert v.peek_lru() == twin.peek_lru()
             assert [v.peek2(i) for i in range(len(v))] == [twin.peek2(i) for i in range(len(twin))]
         v.drop_cache()
         twin.drop_cache()
@@ -388,6 +389,7 @@ class TestPeekRun:
                 v.extend(m)
                 twin.extend(m)
             assert v.stats() == twin.stats()
+            assert v.peek_lru() == twin.peek_lru()
         # equal LRU order: touching one record a block, last block first,
         # faults and writes back alike at every step
         for i in range(len(v) - 1, -1, -4):
@@ -463,6 +465,7 @@ class TestTouch:
                 v.extend(m)
                 twin.extend(m)
             assert v.stats() == twin.stats()
+            assert v.peek_lru() == twin.peek_lru()
             assert v.peek_run2(0, len(v)) == twin.peek_run2(0, len(twin))
         v.drop_cache()
         twin.drop_cache()
@@ -476,6 +479,34 @@ class TestTouch:
             with pytest.raises(IndexError):
                 v.touch(b, False)
         assert v.stats() == IoStats(1, 0, 0)
+
+
+class TestPeekLru:
+    def test_resident_blocks_dirty_flags_in_lru_order(self):
+        v = make(cache=3 * 64, block=64, rec=16)
+        v.extend(20)  # blocks 0..4
+        assert v.peek_lru() == []
+        v.get2(0)
+        v.put2(5, 7)
+        v.get2(9)
+        v.get2(1)  # block 0 to the top
+        assert v.peek_lru() == [(1, True), (2, False), (0, False)]
+        v.put2(12, 3)  # evicts block 1, written back
+        v.touch(2, True)
+        before = v.stats()
+        assert v.peek_lru() == [(0, False), (3, True), (2, True)]
+        assert v.stats() == before == IoStats(block_reads=4, block_writes=1, evictions=1)
+        v.flush()
+        assert v.peek_lru() == [(0, False), (3, False), (2, False)]
+        v.drop_cache()
+        assert v.peek_lru() == []
+
+    def test_returns_a_copy(self):
+        v = make(cache=3 * 64, block=64, rec=16)
+        v.extend(4)
+        v.get2(0)
+        v.peek_lru().append((9, True))
+        assert v.peek_lru() == [(0, False)]
 
 
 class TestBytesBoundary:

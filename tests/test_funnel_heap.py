@@ -222,9 +222,9 @@ class TestOracle:
 
 
 def _counted_trace(seed, block, frames, ops=6000):
-    """Pops and stats() after each op of a seeded insert/delete_min trace,
-    then stats() after a final drop_cache(). One seed in three draws keys
-    from [0, 50), so many records tie."""
+    """Pops, stats() and the LRU state (peek_lru) after each op of a seeded
+    insert/delete_min trace, then stats() after a final drop_cache(). One
+    seed in three draws keys from [0, 50), so many records tie."""
     h = FunnelHeap(cache_bytes=frames * block, block_bytes=block)
     rng = random.Random(seed)
     key = (lambda: rng.randrange(50)) if seed % 3 == 0 else (lambda: rng.getrandbits(24))
@@ -235,9 +235,9 @@ def _counted_trace(seed, block, frames, ops=6000):
         if not len(h) or rng.random() < (0.6 if step < ops // 2 else 0.45):
             h.insert(ident, key())
             ident += 1
-            log.append((None, h.vector.stats()))
+            log.append((None, h.vector.stats(), h.vector.peek_lru()))
         else:
-            log.append((h.delete_min(), h.vector.stats()))
+            log.append((h.delete_min(), h.vector.stats(), h.vector.peek_lru()))
     h.vector.drop_cache()
     log.append((None, h.vector.stats()))
     return log
@@ -248,7 +248,8 @@ WINDOW_GRID = [(block, frames) for block in (16, 32, 48, 64, 256) for frames in 
 
 class TestWindowMerge:
     """_Merger.fill moves a block window at a time; it must count exactly
-    like the per-record merge, oracles.reference_fill."""
+    like the per-record merge, oracles.reference_fill, and leave the same
+    blocks resident in the same LRU order with the same dirty flags."""
 
     @pytest.mark.parametrize("block,frames", WINDOW_GRID)
     def test_counts_like_per_record_merge(self, block, frames, monkeypatch):

@@ -215,6 +215,13 @@ class TestDimacs:
         assert g.weights == [100000, 100000, 100001]
         assert g.weights[0] is g.weights[1]
 
+    def test_arcs_naming_one_vertex_share_one_int(self):
+        # ids above 257: CPython caches the ints up to 256 whatever the parser does
+        g = parse_dimacs("p sp 1000 4\na 1 900 5\na 2 900 7\na 900 1 3\na 3 1000 4\n")
+        assert g.targets == [899, 899, 999, 0]  # the arcs of vertices 0, 1, 2, 899
+        assert g.targets[0] is g.targets[1]
+        assert len({id(v) for v in g.targets}) == 3
+
     def test_arcs_out_of_vertex_order_parse_like_from_arcs(self):
         arcs = [(3, 0, 5), (0, 1, 2), (3, 2, 9), (1, 0, 2), (0, 3, 5), (2, 3, 9), (0, 1, 7), (3, 0, 4)]
         text = f"p sp 4 {len(arcs)}\n" + "".join(f"a {u + 1} {v + 1} {w}\n" for u, v, w in arcs)
