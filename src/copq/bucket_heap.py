@@ -33,6 +33,9 @@ def signal_capacity(level: int) -> int:
     return 1 << (2 * level + 1)
 
 
+TOP_SIGNALS = signal_capacity(1)  # the top level flushes past this many signals
+
+
 class _Level:
     __slots__ = ("num", "bstart", "bcap", "bhead", "bcount", "sstart", "sroom", "scount", "splitter")
 
@@ -78,20 +81,22 @@ class BucketHeap:
     def find_min(self) -> tuple[int, int] | None:
         """Resolve pending signals until the top bucket provably holds the global
         minimum, then return it without removing. None if abstractly empty."""
-        if not self._levels:
+        levels = self._levels
+        if not levels:
             return None
-        if self._levels[0].scount:
+        top = lv = levels[0]
+        if top.scount:
             self._flush(0)
         j = 0
-        while self._levels[j].bcount == 0:
+        while lv.bcount == 0:
             j += 1
-            if j == len(self._levels):
+            if j == len(levels):  # re-read: a flush at the deepest level adds one
                 return None
-            if self._levels[j].scount:
+            lv = levels[j]
+            if lv.scount:
                 self._flush(j)
         if j > 0:
             self._refill(j)
-        top = self._levels[0]
         rec = self.vector.get2(top.bstart + top.bhead)
         return rec & MASK64, rec >> 64
 
@@ -108,13 +113,14 @@ class BucketHeap:
     # -- signal machinery -----------------------------------------------------
 
     def _signal(self, sig: int) -> None:
-        if not self._levels:
+        levels = self._levels
+        if not levels:
             self._add_level()
-        top = self._levels[0]
+        top = levels[0]
         self.vector.put2(top.sstart + top.scount, sig)
         top.scount += 1
         self.stored += 1
-        if top.scount > signal_capacity(1):
+        if top.scount > TOP_SIGNALS:
             self._flush(0)
 
     def _add_level(self) -> None:
@@ -131,31 +137,37 @@ class BucketHeap:
         self.stored -= lv.scount + lv.bcount
         lv.scount = 0
         lo = lv.bstart + lv.bhead
-        # id -> its record; a signal that wins is stored as it is
-        d = {rec & MASK64: rec for rec in vec.read_run2(lo, lo + lv.bcount)}
+        # id -> its record; a signal that wins is stored as it is. An empty
+        # run touches nothing, so an empty bucket is neither read nor written
+        d = {rec & MASK64: rec for rec in vec.read_run2(lo, lo + lv.bcount)} if lv.bcount else {}
+        get, pop = d.get, d.pop
         deepest = li == len(self._levels) - 1
         out: list[int] = []  # signals for the next level
+        put = out.append
         limit = lv.splitter << 64 | MASK64  # the largest record the bucket accepts
+        # d holds the sorted bucket in order and deletes keep that order; only
+        # a lowered record or a new id can leave d.values() out of order
+        resort = False
         for sig in signals:
             sid = sig & MASK64
             if sig >= DELETE:
-                if sid in d:
-                    del d[sid]
-                elif not deepest:
-                    out.append(sig)
+                if pop(sid, None) is None and not deepest:
+                    put(sig)
             else:
-                cur = d.get(sid)
+                cur = get(sid)
                 if cur is not None:
                     if sig < cur:
                         d[sid] = sig
+                        resort = True
                 elif sig <= limit:
                     d[sid] = sig
+                    resort = True
                     if not deepest:
                         # chase a possible stale copy of sid in deeper levels
-                        out.append(DELETE | sid)
+                        put(DELETE | sid)
                 else:
-                    out.append(sig)
-        items = sorted(d.values())
+                    put(sig)
+        items = sorted(d.values()) if resort else list(d.values())
         if len(items) > lv.bcap:
             out.extend(items[lv.bcap :])
             del items[lv.bcap :]
@@ -163,7 +175,8 @@ class BucketHeap:
         lv.bhead = 0
         lv.bcount = len(items)
         self.stored += len(items) + len(out)
-        vec.write_run2(lv.bstart, items)
+        if items:
+            vec.write_run2(lv.bstart, items)
         if out:
             if li + 1 == len(self._levels):
                 self._add_level()

@@ -20,13 +20,16 @@ blocks hold a list decides no count: the counters follow the LRU cache
 alone. The vector checks indices and record sizes, not values: the heaps and
 ``ExternalGraph`` check what they store where values enter the library.
 
-The record accessors are written for throughput: the LRU bump is inlined
-and repeated touches of the same block skip the bookkeeping entirely (a
-repeated touch cannot change LRU order or fault counts). The run accessors
-``read_run2``/``write_run2`` move a contiguous range of records at once, one
-list slice per block: they touch each block of the range once, in ascending
-order, and count exactly like the per-record ``get2``/``put2`` loop over the
-same range. ``peek_run2`` is the stat-free run form of ``peek2``, and
+The record accessors are written for throughput: the LRU bump and the
+fault bookkeeping live in ``_switch``, which an accessor calls only when it
+touches another block than the last one; a repeated touch of the same block
+skips it (it cannot change LRU order or fault counts) and only sets the
+dirty flag on a write. The run accessors ``read_run2``/``write_run2`` move a
+contiguous range of records at once, one list slice per block: they touch
+each block of the range once, in ascending order, and count exactly like the
+per-record ``get2``/``put2`` loop over the same range. A non-empty run inside
+one block takes one range check, one block check and one slice; an empty run
+touches nothing. ``peek_run2`` is the stat-free run form of ``peek2``, and
 ``peek_lru`` the stat-free view of the cache: the resident blocks and their
 dirty flags in LRU order.
 
@@ -280,6 +283,12 @@ class BlockVector:
         if not 0 <= lo <= hi <= self._length:
             raise IndexError(f"record run [{lo}, {hi}) out of range [0, {self._length})")
         rpb = self._rpb
+        b = lo // rpb
+        if lo < hi <= (b + 1) * rpb:  # a non-empty run inside one block
+            if b != self._last_block:
+                self._switch(b, False)
+            off = lo - b * rpb
+            return self._last_data[off : off + hi - lo]
         out: list[int] = []
         i = lo
         while i < hi:
@@ -302,6 +311,15 @@ class BlockVector:
         if not 0 <= lo <= hi <= self._length:
             raise IndexError(f"record run [{lo}, {hi}) out of range [0, {self._length})")
         rpb = self._rpb
+        b = lo // rpb
+        if lo < hi <= (b + 1) * rpb:  # a non-empty run inside one block
+            if b != self._last_block:
+                self._switch(b, True)
+            else:
+                self._resident[b] = True
+            off = lo - b * rpb
+            self._last_data[off : off + hi - lo] = recs
+            return
         i = lo
         while i < hi:
             b = i // rpb

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from array import array
+from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import accumulate, chain, islice, repeat
 from operator import le, sub
@@ -74,6 +75,8 @@ class Graph:
             return False
         if rev.offsets != offsets:
             return False
+        if rev.targets == targets and rev.weights == weights:
+            return True  # every vertex lists its arcs in the reverse graph's order
         for lo, hi in zip(offsets, offsets[1:]):
             if sorted(zip(targets[lo:hi], weights[lo:hi])) != sorted(zip(rev.targets[lo:hi], rev.weights[lo:hi])):
                 return False
@@ -286,6 +289,7 @@ class ExternalGraph:
         self.vertex_count = g.vertex_count
         self.arc_count = g.arc_count
         self.source = g
+        self._rpb = config.records_per_block
         vec = self.vector
         vec.extend(g.vertex_count + 1 + g.arc_count)
         # written one block's worth of records at a time, so no list of all
@@ -307,11 +311,22 @@ class ExternalGraph:
         return self.vector.read_run2(base + lo, base + hi)
 
     def source_of_arc(self, a: int) -> int:
-        """Vertex whose arc list contains arc index a (binary search on offsets)."""
+        """Vertex whose arc list contains arc index a (binary search on offsets).
+
+        Charged like one get2 per probe. A probe outside the block of lo is
+        made as it comes; once lo and hi share a block, every later probe
+        touches that block and only the first can switch, so one touch and a
+        bisect of the block's records finish the search."""
         lo, hi = 0, self.vertex_count - 1
+        rpb, touch = self._rpb, self.vector.touch
         while lo < hi:
+            b = lo // rpb
+            base = b * rpb
+            if hi < base + rpb:
+                return bisect_right(touch(b, False), a, lo - base + 1, hi - base + 1) - 1 + base
             mid = (lo + hi + 1) >> 1
-            if self.vector.get2(mid) <= a:
+            b = mid // rpb
+            if touch(b, False)[mid - b * rpb] <= a:
                 lo = mid
             else:
                 hi = mid - 1

@@ -181,23 +181,25 @@ def sssp_bucket(
     peak = 0
     guard_deletes = 0
     spurious_kills = 0
-    main.update(source, 0)
+    main_update, main_delete, main_min = main.update, main.delete, main.find_min
+    guard_update, guard_min = guard.update, guard.find_min
+    source_of_arc = eg.source_of_arc
+    main_update(source, 0)
     eq_key: int | None = None
     eq_vertices: list[int] = []
     while True:
-        mh = main.find_min()
+        mh = main_min()
         # guards strictly below the main minimum (all guards once main is empty)
         while True:
-            mg = guard.find_min()
+            mg = guard_min()
             if mg is None:
                 break
             if mh is not None and mg[1] >= mh[1]:
                 break
             guard.delete_min()
-            u = eg.source_of_arc(mg[0])
-            main.delete(u)
+            main_delete(source_of_arc(mg[0]))
             guard_deletes += 1
-            mh = main.find_min()
+            mh = main_min()
         if mh is None:
             break  # guard heap was fully drained by the loop above
         k = mh[1]
@@ -205,15 +207,15 @@ def sssp_bucket(
             eq_key, eq_vertices = k, []
         # guards tying the main minimum: apply before the extraction, retain
         while True:
-            mg = guard.find_min()
+            mg = guard_min()
             if mg is None or mg[1] != k:
                 break
             guard.delete_min()
-            u = eg.source_of_arc(mg[0])
+            u = source_of_arc(mg[0])
             eq_vertices.append(u)
-            main.delete(u)
+            main_delete(u)
             guard_deletes += 1
-        mh = main.find_min()
+        mh = main_min()
         if mh is None or mh[1] != k:
             spurious_kills += 1  # the candidate minimum was spurious and died to a guard
             continue
@@ -227,11 +229,11 @@ def sssp_bucket(
         lo, hi = eg.arc_range(v)
         for a, arc in enumerate(eg.arcs(lo, hi), lo):
             nk = d + (arc & MASK64)
-            main.update(arc >> 64, nk)
-            guard.update(a, nk)  # guard named by arc index; kills v's re-insertions
+            main_update(arc >> 64, nk)
+            guard_update(a, nk)  # guard named by arc index; kills v's re-insertions
         # apply the tying guards again, after the relaxations
         for u in eq_vertices:
-            main.delete(u)
+            main_delete(u)
         occ = main.occupancy() + guard.occupancy()
         if occ > peak:
             peak = occ

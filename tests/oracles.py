@@ -8,6 +8,7 @@ import heapq
 import math
 from collections import Counter
 
+from copq.bucket_heap import DELETE, signal_capacity
 from copq.emcore import MASK64
 from copq.graphs import Graph, SplitMix64
 
@@ -270,3 +271,73 @@ def reference_sift_down(heap, i, item):
         i = child
     vec.put2(i, item)
     pos.put2(item & MASK64, i + 1)
+
+
+def reference_flush(self, li):
+    """The bucket heap's flush as it was before its signal loop was trimmed:
+    every signal through dict membership tests and every bucket through
+    sorted(). A drop-in for copq.bucket_heap.BucketHeap._flush; the library's
+    flush must count, store and forward exactly like it."""
+    lv = self._levels[li]
+    vec = self.vector
+    signals = vec.read_run2(lv.sstart, lv.sstart + lv.scount)
+    self.stored -= lv.scount + lv.bcount
+    lv.scount = 0
+    lo = lv.bstart + lv.bhead
+    # id -> its record; a signal that wins is stored as it is
+    d = {rec & MASK64: rec for rec in vec.read_run2(lo, lo + lv.bcount)}
+    deepest = li == len(self._levels) - 1
+    out: list[int] = []  # signals for the next level
+    limit = lv.splitter << 64 | MASK64  # the largest record the bucket accepts
+    for sig in signals:
+        sid = sig & MASK64
+        if sig >= DELETE:
+            if sid in d:
+                del d[sid]
+            elif not deepest:
+                out.append(sig)
+        else:
+            cur = d.get(sid)
+            if cur is not None:
+                if sig < cur:
+                    d[sid] = sig
+            elif sig <= limit:
+                d[sid] = sig
+                if not deepest:
+                    # chase a possible stale copy of sid in deeper levels
+                    out.append(DELETE | sid)
+            else:
+                out.append(sig)
+    items = sorted(d.values())
+    if len(items) > lv.bcap:
+        out.extend(items[lv.bcap :])
+        del items[lv.bcap :]
+        lv.splitter = items[-1] >> 64
+    lv.bhead = 0
+    lv.bcount = len(items)
+    self.stored += len(items) + len(out)
+    vec.write_run2(lv.bstart, items)
+    if out:
+        if li + 1 == len(self._levels):
+            self._add_level()
+        nxt = self._levels[li + 1]
+        if nxt.scount + len(out) > nxt.sroom:
+            raise AssertionError(f"signal region overflow at level {nxt.num}")
+        vec.write_run2(nxt.sstart + nxt.scount, out)
+        nxt.scount += len(out)
+        if nxt.scount > signal_capacity(nxt.num):
+            self._flush(li + 1)
+
+
+def reference_source_of_arc(self, a):
+    """ExternalGraph.source_of_arc one probe at a time: a binary search over
+    the offset records with one get2 per probe. A drop-in for the library's
+    method, which must find the same vertex and count exactly like it."""
+    lo, hi = 0, self.vertex_count - 1
+    while lo < hi:
+        mid = (lo + hi + 1) >> 1
+        if self.vector.get2(mid) <= a:
+            lo = mid
+        else:
+            hi = mid - 1
+    return lo

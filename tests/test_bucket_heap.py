@@ -1,11 +1,12 @@
 import random
+from collections import Counter
 
 import pytest
 
-from copq.bucket_heap import BucketHeap, bucket_capacity, signal_capacity
-from copq.emcore import MB
+from copq.bucket_heap import DELETE, BucketHeap, bucket_capacity, signal_capacity
+from copq.emcore import MASK64, MB
 
-from oracles import MinMapPQ
+from oracles import MinMapPQ, reference_flush
 
 
 def make(cache=1 * MB):
@@ -177,3 +178,107 @@ class TestOracle:
             if step % 101 == 0:
                 h.check_invariants()
                 assert h._live_map() == oracle.live
+
+
+def _flush_cases(h, li, seen):
+    """Tally in seen which branches a flush of level li is about to take,
+    replaying its signals over its bucket stat-free (peek_run2)."""
+    lv = h._levels[li]
+    vec = h.vector
+    d = {rec & MASK64: rec for rec in vec.peek_run2(lv.bstart + lv.bhead, lv.bstart + lv.bhead + lv.bcount)}
+    deepest = li == len(h._levels) - 1
+    limit = lv.splitter << 64 | MASK64
+    if not d:
+        seen["empty bucket read"] += 1
+    for sig in vec.peek_run2(lv.sstart, lv.sstart + lv.scount):
+        sid = sig & MASK64
+        if sig >= DELETE:
+            if d.pop(sid, None) is not None:
+                seen["delete hit"] += 1
+            else:
+                seen["delete miss at deepest" if deepest else "delete miss forwarded"] += 1
+        elif sid in d:
+            seen["lowered" if sig < d[sid] else "raise dropped"] += 1
+            d[sid] = min(d[sid], sig)
+        elif sig <= limit:
+            seen["insert at deepest" if deepest else "insert with chase"] += 1
+            d[sid] = sig
+        else:
+            seen["forward"] += 1
+    seen["overflow" if len(d) > lv.bcap else "fits" if d else "empty bucket written"] += 1
+
+
+FLUSH_CASES = {
+    "delete hit",
+    "delete miss forwarded",
+    "delete miss at deepest",
+    "lowered",
+    "raise dropped",
+    "insert with chase",
+    "insert at deepest",
+    "forward",
+    "overflow",
+    "fits",
+    "empty bucket read",
+    "empty bucket written",
+}
+
+
+def _flush_trace(seed, block, frames, seen=None, ops=2500):
+    """Pops, stats(), the LRU state (peek_lru) and check_invariants() after
+    each op of a seeded update/delete/find_min/delete_min trace, then
+    _live_map() and stats(). Ids come from a small space so signals meet
+    their ids in the buckets; one seed in three draws keys from [0, 40), so
+    records tie. The trace grows for its first half and shrinks after."""
+    h = BucketHeap(cache_bytes=frames * block, block_bytes=block)
+    if seen is not None:
+        flush = BucketHeap._flush
+
+        def tallied(self, li):
+            _flush_cases(self, li, seen)
+            flush(self, li)
+
+        h._flush = tallied.__get__(h)
+    rng = random.Random(seed)
+    key = (lambda: rng.randrange(40)) if seed % 3 == 0 else (lambda: rng.getrandbits(20))
+    log = []
+    for step in range(ops):
+        r = rng.random()
+        grow = step < ops // 2
+        if r < (0.6 if grow else 0.35):
+            got = h.update(rng.randrange(300), key())
+        elif r < 0.75:
+            got = h.delete(rng.randrange(300))
+        elif r < 0.85:
+            got = h.find_min()
+        else:
+            got = h.delete_min() if h.find_min() is not None else None
+        h.check_invariants()
+        log.append((got, h.vector.stats(), h.vector.peek_lru()))
+    log.append((h._live_map(), h.vector.stats(), h.vector.peek_lru()))
+    return log
+
+
+FLUSH_GRID = [(block, frames) for block in (32, 64, 4096) for frames in (1, 2, 8)]
+
+
+class TestLeanFlush:
+    """_flush binds its dict and list methods, sorts a bucket only when a
+    signal lowered a record or inserted an id, and neither reads nor writes
+    an empty bucket; it must count, store and forward exactly like the flush
+    it replaced, oracles.reference_flush.
+    Mutation that fails it: list(d.values()) after a lowered key (drop the
+    resort in the sig < cur branch), which leaves a bucket unsorted."""
+
+    @pytest.mark.parametrize("block,frames", FLUSH_GRID)
+    def test_counts_like_reference_flush(self, block, frames, monkeypatch):
+        seed = FLUSH_GRID.index((block, frames))
+        with monkeypatch.context() as m:
+            m.setattr(BucketHeap, "_flush", reference_flush)
+            want = _flush_trace(seed, block, frames)
+        seen = Counter()
+        got = _flush_trace(seed, block, frames, seen)
+        bad = next((i for i, (a, b) in enumerate(zip(got, want)) if a != b), None)
+        assert bad is None, f"op {bad}: lean flush {got[bad]}, reference flush {want[bad]}"
+        assert len(got) == len(want)
+        assert FLUSH_CASES <= set(seen), f"no flush took {sorted(FLUSH_CASES - set(seen))}"

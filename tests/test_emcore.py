@@ -344,6 +344,13 @@ class TestRunAccessors:
         assert v.read_run2(0, 10) == want
         assert [v.peek2(i) for i in range(10)] == want
         assert v.get(2) == struct.pack("<QQ", 2, 3)
+        # and a run inside one block, which takes one slice
+        one = [7, 8, 9]
+        v.write_run2(5, one)
+        one[0] = 99
+        got = v.read_run2(5, 8)
+        got[1] = 55
+        assert v.read_run2(4, 8) == [want[4], 7, 8, 9]
 
     def test_eight_byte_vector_takes_runs(self):
         v = make(cache=64, block=64, rec=8)  # eight records a block, one frame

@@ -17,7 +17,7 @@ from copq.graphs import (
     write_dimacs,
 )
 
-from oracles import gen_gnp_reference, is_symmetric_reference
+from oracles import gen_gnp_reference, is_symmetric_reference, reference_source_of_arc
 
 
 @st.composite
@@ -138,6 +138,39 @@ class TestSymmetry:
     @pytest.mark.parametrize("target", [2, 5, -1])
     def test_target_outside_the_vertices_has_no_reverse(self, target):
         assert not Graph([0, 1, 2], [1, target], [4, 4]).is_symmetric()
+
+    @staticmethod
+    def _reverse(g):
+        # the graph is_symmetric compares with: each arc reversed, in CSR order
+        n = g.vertex_count
+        return Graph.from_arcs(n, [(v, u, w) for u in range(n) for v, w in g.neighbors(u)])
+
+    def test_gnp_columns_equal_the_reverse_graphs(self):
+        # the early out: both lists of each vertex run by ascending target
+        g = gen_gnp(GnpSpec(n=200, seed=4))
+        rev = self._reverse(g)
+        assert (rev.targets, rev.weights) == (g.targets, g.weights)
+        assert g.is_symmetric()
+
+    def test_scrambled_symmetric_graph_is_symmetric(self):
+        # per-vertex arc order differs from the reverse graph's, so the
+        # columns differ and the per-vertex comparison decides
+        g0 = gen_gnp(GnpSpec(n=60, seed=5))
+        arcs = [(u, v, w) for u in range(g0.vertex_count) for v, w in g0.neighbors(u)]
+        random.Random(5).shuffle(arcs)
+        g = Graph.from_arcs(g0.vertex_count, arcs)
+        assert self._reverse(g).targets != g.targets
+        assert g.is_symmetric()
+
+    @pytest.mark.parametrize("scrambled", [False, True], ids=["gnp-order", "scrambled"])
+    def test_one_mismatched_weight_is_not_symmetric(self, scrambled):
+        g0 = gen_gnp(GnpSpec(n=60, seed=6))
+        arcs = [(u, v, w) for u in range(g0.vertex_count) for v, w in g0.neighbors(u)]
+        if scrambled:
+            random.Random(6).shuffle(arcs)
+        u, v, w = arcs[17]
+        arcs[17] = (u, v, w + 1)
+        assert not Graph.from_arcs(g0.vertex_count, arcs).is_symmetric()
 
 
 class TestFromArcs:
@@ -327,3 +360,37 @@ class TestExternalGraph:
         for u in range(g.vertex_count):
             for a in range(g.offsets[u], g.offsets[u + 1]):
                 assert eg.source_of_arc(a) == u
+
+    @pytest.mark.parametrize("block,frames", [(b, f) for b in (32, 64, 256) for f in (1, 2, 4)])
+    @pytest.mark.parametrize("shape", ["inner-gaps", "empty-ends"])
+    def test_source_of_arc_counts_like_one_get2_per_probe(self, block, frames, shape, monkeypatch):
+        # 40 vertices, so the 41 offsets span 21, 11 and 3 blocks: probes
+        # cross blocks before the search settles in one. Vertices 1, 4, 7, ...
+        # have no arcs (repeated offsets); "empty-ends" also leaves the first
+        # and the last vertex without arcs.
+        rng = random.Random(block + frames)
+        n = 40
+        sources = [u for u in range(n) if u % 3 != 1 and (shape == "inner-gaps" or 0 < u < n - 1)]
+        arcs = [(u, rng.randrange(n), rng.randint(1, 9)) for u in sources for _ in range(rng.randint(1, 4))]
+        g = Graph.from_arcs(n, arcs)
+        order = list(range(g.arc_count))
+        rng.shuffle(order)
+        order = [0, g.arc_count - 1, *order, g.arc_count - 1, 0]
+        config = EmConfig(frames * block, block, 16)
+
+        def trace():
+            eg = load_csr(g, config)
+            eg.vector.drop_cache()
+            log = []
+            for a in order:
+                log.append((eg.source_of_arc(a), eg.vector.stats(), eg.vector.peek_lru()))
+            return log
+
+        with monkeypatch.context() as m:
+            m.setattr(ExternalGraph, "source_of_arc", reference_source_of_arc)
+            want = trace()
+        got = trace()
+        owner = [u for u in range(n) for _ in range(g.offsets[u], g.offsets[u + 1])]
+        assert [u for u, _, _ in want] == [owner[a] for a in order]
+        bad = next((i for i, (x, y) in enumerate(zip(got, want)) if x != y), None)
+        assert bad is None, f"call {bad} (arc {order[bad]}): bisect {got[bad]}, get2 per probe {want[bad]}"
