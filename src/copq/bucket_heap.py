@@ -23,6 +23,7 @@ from .emcore import BlockVector, EmConfig, DEFAULT_BLOCK_BYTES, DEFAULT_CACHE_BY
 DELETE_KEY = (1 << 64) - 1  # signal-key sentinel marking a delete
 DELETE = DELETE_KEY << 64  # a signal at or above it is a delete: DELETE | id
 INF = (1 << 64) - 1  # splitter value meaning "accepts any key"
+_STALE = object()  # BucketHeap._min when no find_min answer is kept
 
 
 def bucket_capacity(level: int) -> int:
@@ -33,22 +34,23 @@ def signal_capacity(level: int) -> int:
     return 1 << (2 * level + 1)
 
 
-TOP_SIGNALS = signal_capacity(1)  # the top level flushes past this many signals
-
-
 class _Level:
-    __slots__ = ("num", "bstart", "bcap", "bhead", "bcount", "sstart", "sroom", "scount", "splitter")
+    __slots__ = ("num", "bstart", "bcap", "bhead", "bcount", "sstart", "sroom", "scap", "scount", "splitter", "block")
 
-    def __init__(self, num: int, bstart: int):
+    def __init__(self, num: int, bstart: int, rpb: int):
         self.num = num
         self.bstart = bstart
         self.bcap = bucket_capacity(num)
         self.bhead = 0  # bucket content is sorted ascending in [bstart+bhead, +bcount)
         self.bcount = 0
         self.sstart = bstart + self.bcap  # the signal buffer follows the bucket
-        self.sroom = 2 * signal_capacity(num) + 8
+        self.scap = signal_capacity(num)  # the level flushes past this many signals
+        self.sroom = 2 * self.scap + 8
         self.scount = 0
         self.splitter = INF
+        # the block holding the whole level [bstart, sstart + sroom), else -1
+        b = bstart // rpb
+        self.block = b if (self.sstart + self.sroom - 1) // rpb == b else -1
 
 
 class BucketHeap:
@@ -58,8 +60,10 @@ class BucketHeap:
         block_bytes: int = DEFAULT_BLOCK_BYTES,
     ):
         self.vector = BlockVector(EmConfig(cache_bytes, block_bytes, 16))
+        self._rpb = self.vector.config.records_per_block
         self._levels: list[_Level] = []
         self.stored = 0  # total records held (bucket elements + pending signals)
+        self._min = _STALE  # find_min's answer, kept until the next operation
 
     def vectors(self) -> dict[str, BlockVector]:
         return {"bucket": self.vector}
@@ -80,7 +84,15 @@ class BucketHeap:
 
     def find_min(self) -> tuple[int, int] | None:
         """Resolve pending signals until the top bucket provably holds the global
-        minimum, then return it without removing. None if abstractly empty."""
+        minimum, then return it without removing. None if abstractly empty.
+
+        The answer is kept until the next update, delete or delete_min. A
+        second call would flush nothing and re-read the record it just read,
+        in the block touched last, so skipping it moves no count and no LRU
+        place (as long as nothing outside the heap touches its vector)."""
+        m = self._min
+        if m is not _STALE:
+            return m
         levels = self._levels
         if not levels:
             return None
@@ -91,6 +103,7 @@ class BucketHeap:
         while lv.bcount == 0:
             j += 1
             if j == len(levels):  # re-read: a flush at the deepest level adds one
+                self._min = None
                 return None
             lv = levels[j]
             if lv.scount:
@@ -98,12 +111,16 @@ class BucketHeap:
         if j > 0:
             self._refill(j)
         rec = self.vector.get2(top.bstart + top.bhead)
-        return rec & MASK64, rec >> 64
+        m = self._min = rec & MASK64, rec >> 64
+        return m
 
     def delete_min(self) -> tuple[int, int]:
-        m = self.find_min()
+        m = self._min
+        if m is _STALE:
+            m = self.find_min()
         if m is None:
             raise IndexError("delete_min on empty heap")
+        self._min = _STALE
         top = self._levels[0]
         top.bhead += 1
         top.bcount -= 1
@@ -113,6 +130,7 @@ class BucketHeap:
     # -- signal machinery -----------------------------------------------------
 
     def _signal(self, sig: int) -> None:
+        self._min = _STALE
         levels = self._levels
         if not levels:
             self._add_level()
@@ -120,80 +138,120 @@ class BucketHeap:
         self.vector.put2(top.sstart + top.scount, sig)
         top.scount += 1
         self.stored += 1
-        if top.scount > TOP_SIGNALS:
+        if top.scount > top.scap:
             self._flush(0)
 
     def _add_level(self) -> None:
-        lv = _Level(len(self._levels) + 1, len(self.vector))
+        lv = _Level(len(self._levels) + 1, len(self.vector), self._rpb)
         self.vector.extend(lv.bcap + lv.sroom)
         self._levels.append(lv)
 
     def _flush(self, li: int) -> None:
         """Apply every pending signal of level li to its bucket, forwarding
-        leftovers (and overflow) down to level li+1."""
-        lv = self._levels[li]
+        leftovers (and overflow) down to level li+1.
+
+        It reads the signals, then the bucket, writes the bucket back from
+        bstart, then appends the forwarded signals to level li+1: runs that
+        count like read_run2/write_run2. A level that lies in one block b is
+        charged by touch instead: the signal run is never empty, so its read
+        touches b first, and every later run that stays in b only sets the
+        dirty flag. An empty run touches nothing, so an empty bucket is
+        neither read nor written."""
+        levels = self._levels
+        lv = levels[li]
         vec = self.vector
-        signals = vec.read_run2(lv.sstart, lv.sstart + lv.scount)
-        self.stored -= lv.scount + lv.bcount
+        n = lv.scount
+        bcount = lv.bcount
         lv.scount = 0
         lo = lv.bstart + lv.bhead
-        # id -> its record; a signal that wins is stored as it is. An empty
-        # run touches nothing, so an empty bucket is neither read nor written
-        d = {rec & MASK64: rec for rec in vec.read_run2(lo, lo + lv.bcount)} if lv.bcount else {}
-        get, pop = d.get, d.pop
-        deepest = li == len(self._levels) - 1
-        out: list[int] = []  # signals for the next level
-        put = out.append
+        b = lv.block
+        if b >= 0:
+            data = vec.touch(b, False)
+            base = b * self._rpb
+            signals = data[lv.sstart - base : lv.sstart - base + n]
+            bucket = data[lo - base : lo - base + bcount]
+        else:
+            signals = vec.read_run2(lv.sstart, lv.sstart + n)
+            bucket = vec.read_run2(lo, lo + bcount)
+        deepest = li == len(levels) - 1
         limit = lv.splitter << 64 | MASK64  # the largest record the bucket accepts
-        # d holds the sorted bucket in order and deletes keep that order; only
-        # a lowered record or a new id can leave d.values() out of order
-        resort = False
-        for sig in signals:
-            sid = sig & MASK64
-            if sig >= DELETE:
-                if pop(sid, None) is None and not deepest:
-                    put(sig)
-            else:
-                cur = get(sid)
-                if cur is not None:
-                    if sig < cur:
+        # An inert batch passes whole: every signal lies above limit (so the
+        # splitter is finite and limit < DELETE) and no id is in the bucket,
+        # so each one is forwarded in order and the bucket keeps its records
+        if (
+            not deepest
+            and min(signals) > limit
+            and (not bucket or {sig & MASK64 for sig in signals}.isdisjoint([rec & MASK64 for rec in bucket]))
+        ):
+            items, out = bucket, signals
+        else:
+            # id -> its record; a signal that wins is stored as it is
+            d = {rec & MASK64: rec for rec in bucket}
+            get, pop = d.get, d.pop
+            out = []  # signals for the next level
+            put = out.append
+            # d holds the sorted bucket in order and deletes keep that order; only
+            # a lowered record or a new id can leave d.values() out of order
+            resort = False
+            for sig in signals:
+                sid = sig & MASK64
+                if sig >= DELETE:
+                    if pop(sid, None) is None and not deepest:
+                        put(sig)
+                else:
+                    cur = get(sid)
+                    if cur is not None:
+                        if sig < cur:
+                            d[sid] = sig
+                            resort = True
+                    elif sig <= limit:
                         d[sid] = sig
                         resort = True
-                elif sig <= limit:
-                    d[sid] = sig
-                    resort = True
-                    if not deepest:
-                        # chase a possible stale copy of sid in deeper levels
-                        put(DELETE | sid)
-                else:
-                    put(sig)
-        items = sorted(d.values()) if resort else list(d.values())
-        if len(items) > lv.bcap:
-            out.extend(items[lv.bcap :])
-            del items[lv.bcap :]
-            lv.splitter = items[-1] >> 64
+                        if not deepest:
+                            # chase a possible stale copy of sid in deeper levels
+                            put(DELETE | sid)
+                    else:
+                        put(sig)
+            items = sorted(d.values()) if resort else list(d.values())
+            if len(items) > lv.bcap:
+                out.extend(items[lv.bcap :])
+                del items[lv.bcap :]
+                lv.splitter = items[-1] >> 64
+            self.stored += len(items) + len(out) - n - bcount
         lv.bhead = 0
         lv.bcount = len(items)
-        self.stored += len(items) + len(out)
-        if items:
-            vec.write_run2(lv.bstart, items)
         if out:
-            if li + 1 == len(self._levels):
+            if li + 1 == len(levels):
                 self._add_level()
-            nxt = self._levels[li + 1]
+            nxt = levels[li + 1]
             if nxt.scount + len(out) > nxt.sroom:
                 raise AssertionError(f"signal region overflow at level {nxt.num}")
-            vec.write_run2(nxt.sstart + nxt.scount, out)
+            at = nxt.sstart + nxt.scount
             nxt.scount += len(out)
-            if nxt.scount > signal_capacity(nxt.num):
-                self._flush(li + 1)
+        if b < 0:
+            if items:
+                vec.write_run2(lv.bstart, items)
+            if out:
+                vec.write_run2(at, out)
+        else:
+            # out lands in b when its last record does: it starts past bstart
+            into_b = out and (at + len(out) - 1) // self._rpb == b
+            if items or into_b:
+                vec.touch(b, True)
+                data[lv.bstart - base : lv.bstart - base + len(items)] = items
+            if into_b:
+                data[at - base : at - base + len(out)] = out
+            elif out:
+                vec.write_run2(at, out)
+        if out and nxt.scount > nxt.scap:
+            self._flush(li + 1)
 
     def _refill(self, j: int) -> None:
         """Migrate the smallest elements of level j up into levels 0..j-1,
         half-filling each and re-establishing the splitters."""
         vec = self.vector
         src = self._levels[j]
-        targets = [bucket_capacity(l.num) // 2 for l in self._levels[:j]]
+        targets = [lv.bcap // 2 for lv in self._levels[:j]]
         m = min(sum(targets), src.bcount)
         lo = src.bstart + src.bhead
         pulled = vec.read_run2(lo, lo + m)
@@ -240,6 +298,7 @@ class BucketHeap:
         A single top-down flush pass carries each pending signal to the level
         it dies at; afterwards every live id sits in exactly one bucket, which
         this asserts."""
+        self._min = _STALE  # the flushes move the LRU order
         li = 0
         while li < len(self._levels):
             if self._levels[li].scount:

@@ -37,7 +37,10 @@ dirty flags in LRU order.
 (``dirty`` true) of a record in block b and returns that block's live record
 list, for callers that move records by list operations and charge the
 blocks themselves: the funnel heap's merge and the binary heap's sifts,
-both below.
+both below; the bucket heap's flush of a level that lies in one block (a
+clean touch before the reads, a dirty one before the writes that stay in
+the block: the runs it replaces touch that block alone); and
+``ExternalGraph.source_of_arc``.
 
 The window rule, a property of each vector's LRU cache: take a stretch of
 consecutive touches whose distinct blocks fit the frames. No block of the
@@ -267,7 +270,8 @@ class BlockVector:
     def touch(self, b: int, dirty: bool) -> list[int]:
         """Charge one get2 (dirty false) or put2 (dirty true) of a record in
         block b and return the block's live record list: records b * rpb
-        onwards, which the caller may read and, after a dirty touch, write.
+        onwards, which the caller may read and, after a dirty touch, write
+        below the vector's length.
         The list stays the block's until truncate drops the block."""
         if b != self._last_block:
             if not 0 <= b * self._rpb < self._length:
@@ -381,9 +385,11 @@ class BlockVector:
 
     def truncate(self, n: int) -> None:
         """Shrink logical length to n records without I/O. A wholly dropped block
-        gives up its records and the dropped tail of a partial block is reset
-        to the zero record, so the dropped records read as zero if the vector
-        is later re-extended."""
+        gives up its records and the dropped records of a partial block are
+        reset to the zero record, so they read as zero if the vector is later
+        re-extended. Only records below the old length are reset: every record
+        at or above the length is zero already, since no accessor and no
+        caller of touch writes there, and extend only grows over zeros."""
         if n > self._length:
             raise ValueError(f"cannot truncate to {n}: length is {self._length}")
         if n < 0:
@@ -396,7 +402,8 @@ class BlockVector:
         if lo:
             data = self._blocks.get(b)
             if data is not None:
-                data[lo:] = [0] * (self._rpb - lo)
+                hi = min(old - b * self._rpb, self._rpb)
+                data[lo:hi] = [0] * (hi - lo)
             b += 1
         for d in range(b, (old - 1) // self._rpb + 1):
             self._blocks.pop(d, None)

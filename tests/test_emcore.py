@@ -159,6 +159,19 @@ class TestBasicSemantics:
         v.extend(10)
         assert v.get2(7) == 0
 
+    @pytest.mark.parametrize("cut", [9, 5, 8])
+    def test_truncate_from_mid_block_then_extend_exposes_zeros(self, cut):
+        # four records a block; the old length 11 ends inside block 2, and the
+        # cut lands in that block, in an earlier one, or on a block boundary
+        v = make(block=64)
+        v.extend(11)
+        for i in range(11):
+            v.put2(i, i + 1 << 64 | i + 1)
+        v.truncate(cut)
+        v.extend(16 - cut)
+        assert v.peek_run2(0, 16) == [i + 1 << 64 | i + 1 for i in range(cut)] + [0] * (16 - cut)
+        assert [v.get2(i) for i in range(cut, 16)] == [0] * (16 - cut)
+
     def test_truncate_frees_dropped_blocks(self):
         # 64 dirty blocks against 8 frames, all dropped, then read back
         nblocks = 64
