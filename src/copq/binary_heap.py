@@ -1,8 +1,8 @@
 """Array-based binary min-heap stored in a BlockVector.
 
 The baseline structure: an implicit complete binary tree of key << 64 | id
-records, plus a second vector mapping id -> heap slot so decrease-key can
-find its element. Maintaining that position array costs block transfers on
+records, plus a second vector mapping id -> heap slot so update can find a
+live element. Maintaining that position array costs block transfers on
 every sift step, which is exactly what the simulator is there to count.
 
 A record orders like its (key, id) pair: ties always break toward the
@@ -15,8 +15,9 @@ from .emcore import BlockVector, EmConfig, DEFAULT_BLOCK_BYTES, DEFAULT_CACHE_BY
 
 
 class BinaryHeap:
-    """Min-heap with insert, delete_min and decrease_key; find_min and
-    delete_min return (id, key).
+    """Min-heap with insert, delete_min and the bucket heap's update(id, key):
+    insert, or lower a live id's key; a key that is not lower is dropped.
+    find_min and delete_min return (id, key).
 
     Live ids must be unique. Positions are stored as slot+1 so a zero record
     (the vector's default) means "absent".
@@ -60,12 +61,25 @@ class BinaryHeap:
         ident, key = u64(ident, "id"), u64(key, "key")
         if self._pos_get(ident):
             raise ValueError(f"id {ident} is already live in the heap")
+        self._push(ident, key)
+
+    def update(self, ident: int, key: int) -> None:
+        """Insert ident at key, or lower its key to key; a key that is not
+        lower is dropped. One position read, and a heap read if ident is live."""
+        ident, key = u64(ident, "id"), u64(key, "key")
+        p = self._pos_get(ident)
+        if not p:
+            self._push(ident, key)
+        elif key < self.heap.get2(p - 1) >> 64:
+            self._sift_up(p - 1, key << 64 | ident)
+
+    def _push(self, ident: int, key: int) -> None:
+        """Append the absent ident at key and sift it up."""
         i = self._n
         self._n += 1
-        item = key << 64 | ident
         self.heap.extend(1)
         self._pos_set(ident, i + 1)
-        self._sift_up(i, item)
+        self._sift_up(i, key << 64 | ident)
 
     def find_min(self) -> tuple[int, int] | None:
         if self._n == 0:
@@ -85,27 +99,6 @@ class BinaryHeap:
             self._pos_set(last & MASK64, 1)
             self._sift_down(0, last)
         return top & MASK64, top >> 64
-
-    def decrease_key(self, ident: int, new_key: int) -> None:
-        ident, new_key = u64(ident, "id"), u64(new_key, "key")
-        p = self._pos_get(ident)
-        if not p:
-            raise KeyError(f"id {ident} not live in the heap")
-        i = p - 1
-        cur = self.heap.get2(i) >> 64
-        if new_key > cur:
-            raise ValueError(f"decrease_key to {new_key} would raise key {cur}")
-        if new_key == cur:
-            return
-        self._sift_up(i, new_key << 64 | ident)
-
-    def current_key(self, ident: int) -> int | None:
-        """Key of a live id, or None. Costs the position + heap reads."""
-        ident = u64(ident, "id")
-        p = self._pos_get(ident)
-        if not p:
-            return None
-        return self.heap.get2(p - 1) >> 64
 
     def _sift_up(self, i: int, item: int) -> None:
         """Store item at slot i, then move it up to its place; the heap's

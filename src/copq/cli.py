@@ -45,8 +45,12 @@ def _cache_bytes(args) -> int:
     return args.cache_bytes if args.cache_bytes is not None else int(args.cache_mb * MB)
 
 
-def _parse_list(text: str, kind=int) -> list:
-    return [kind(t) for t in text.replace(",", " ").split()]
+def _parse_list(flag: str, text: str, kind=int) -> list:
+    """The numbers in text, split at commas or spaces; a ValueError names flag."""
+    try:
+        return [kind(t) for t in text.replace(",", " ").split()]
+    except ValueError:
+        raise ValueError(f"{flag}: not a list of numbers: {text!r}") from None
 
 
 def _open(path: str, mode: str = "r"):
@@ -184,21 +188,21 @@ def main(argv: list[str] | None = None) -> int:
     if args.cmd == "mem-sweep":
         caches = MEM_SWEEP_CACHES
         if args.cache_mb_list:
-            caches = [int(m * MB) for m in _parse_list(args.cache_mb_list, float)]
+            caches = [int(m * MB) for m in checked(_parse_list, "--cache-mb-list", args.cache_mb_list, float)]
     else:
         caches = [_cache_bytes(args)]
     for cache in caches:
         checked(EmConfig, cache, args.block_bytes)
     runs = dict(block_bytes=args.block_bytes, seed=args.seed, reps=args.reps, timeout_secs=args.timeout_secs)
     if args.cmd == "pq-bench":
-        sizes = _parse_list(args.sizes) if args.sizes else None
+        sizes = checked(_parse_list, "--sizes", args.sizes) if args.sizes else None
         records = checked(run_pq_bench, args.heap, sizes, cache_bytes=caches[0], **runs)
     elif args.cmd == "sssp-bench":
         if args.dimacs:
             parsed = [checked(_read_dimacs, path) for path in args.dimacs]
             graphs = [(g.vertex_count, g) for g in parsed]
         else:
-            sizes = _parse_list(args.gnp_sizes) if args.gnp_sizes else SSSP_RANDOM_SIZES
+            sizes = checked(_parse_list, "--gnp-sizes", args.gnp_sizes) if args.gnp_sizes else SSSP_RANDOM_SIZES
             graphs = [(n, gen_gnp(checked(GnpSpec, n=n, weight_max=args.wmax, seed=args.seed))) for n in sizes]
         records = checked(
             run_sssp_bench, args.heap, graphs, cache_bytes=caches[0], verify_cap=args.verify_cap, **runs

@@ -194,7 +194,8 @@ class BlockVector:
         self._length = 0
         self._blocks: dict[int, list[int]] = {}  # block id -> records, touched and not dropped
         self._resident: dict[int, bool] = {}  # block id -> dirty, insertion order = LRU order
-        self._last_block = -1  # forces the first access through _switch
+        # None, which equals no block id, forces the next access through _switch
+        self._last_block: int | None = None
         self._last_data: list[int] = []
         self.reads = 0
         self.writes = 0
@@ -409,8 +410,8 @@ class BlockVector:
             self._blocks.pop(d, None)
         # the dropped blocks keep their LRU slot and dirty flag, so counts do
         # not change; only the fast path must stop pointing at their records
-        if self._last_block >= b:
-            self._last_block = -1
+        if self._last_block is not None and self._last_block >= b:
+            self._last_block = None
             self._last_data = []
 
     # -- counters ---------------------------------------------------------------------
@@ -427,7 +428,7 @@ class BlockVector:
         start cold. Mainly for tests that need a cold-scan baseline."""
         self.flush()
         self._resident.clear()
-        self._last_block = -1
+        self._last_block = None
 
     def stats(self) -> IoStats:
         return IoStats(self.reads, self.writes, self.evictions)

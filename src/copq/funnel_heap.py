@@ -151,15 +151,17 @@ class _Merger:
         out.producer = self
 
     def fill(self, vec: BlockVector) -> None:
-        # A side L (R) is None until its head is read, () while its whole
-        # subtree is empty, else the records of its current block lb (rb)
-        # from the head on, sliced from the list a touch of the block returns
-        # at the head read; li (ri) indexes the head in it. A head step reads
-        # a head, after a child fill if its ring ran empty; out.count is
-        # stored back before a child fills and at the end. Then a block window
-        # moves at once: the outputs up to the first point where the out ring
-        # or a side ring would leave its current block, wrap or run empty, or
-        # the batch is full; the left side wins ties.
+        # Every fill starts on an empty out ring: callers fill a ring only
+        # when its count is 0, and no child's subtree holds it, so out.count
+        # is stored once, at the end. A side L (R) is None until its head is
+        # read, () while its whole subtree is empty, else the records of its
+        # current block lb (rb) from the head on, sliced from the list a touch
+        # of the block returns at the head read; li (ri) indexes the head in
+        # it. A head step reads a head, after a child fill if its ring ran
+        # empty. Then a block window moves at once: the outputs up to the
+        # first point where the out ring or a side ring would leave its
+        # current block, wrap or run empty, or the batch is full; the left
+        # side wins ties.
         #
         # Exactness: per record, a window touches O S O S ... O (O the out
         # block, each S the block of the side the output before it consumed)
@@ -179,8 +181,6 @@ class _Merger:
         want = self.batch
         ostart, ocap, ocount = out.start, out.cap, out.count
         opos = out.head + ocount
-        if opos >= ocap:
-            opos -= ocap
         lring, rring = self.left, self.right
         lprod, rprod = lring.producer, rring.producer
         L = R = None
@@ -188,7 +188,6 @@ class _Merger:
             mru = None  # the side whose head read, if any, is the last touch so far
             if L is None:
                 if lring.count == 0 and lprod is not None and not lprod.dry:
-                    out.count = ocount
                     lprod.fill(vec)
                 L, li = (), 0
                 if lring.count:
@@ -206,7 +205,6 @@ class _Merger:
                     L = touch(lb, False)[off : off + n]
             if R is None:
                 if rring.count == 0 and rprod is not None and not rprod.dry:
-                    out.count = ocount
                     rprod.fill(vec)
                     mru = None
                 R, ri = (), 0

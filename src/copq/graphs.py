@@ -14,7 +14,7 @@ from array import array
 from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import accumulate, chain, islice, repeat
-from operator import le, sub
+from operator import index, le, sub
 
 from .emcore import BlockVector, EmConfig, DEFAULT_BLOCK_BYTES, DEFAULT_CACHE_BYTES, MASK64
 
@@ -127,6 +127,11 @@ class GnpSpec:
     seed: int = 0
 
     def __post_init__(self):
+        for name in ("n", "weight_max", "seed"):
+            try:
+                setattr(self, name, index(getattr(self, name)))
+            except TypeError:
+                raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}") from None
         if self.n < 1:
             raise ValueError("n must be at least 1")
         if self.p is None:

@@ -1,9 +1,10 @@
 """Single-source shortest paths: a reference oracle plus three variants, one
 per priority queue.
 
-- binary: textbook Dijkstra with decrease-key; the heap tracks element
-  positions in a second vector, and vertex states come from the output
-  distance array (settled) and the position array (in-heap).
+- binary: textbook Dijkstra with decrease-key, one update(id, key) per
+  relaxed arc (insert, or lower the key); the heap tracks element positions
+  in a second vector, and vertex states come from the output distance array
+  (settled) and the position array (in-heap).
 - funnel: the funnel heap has no decrease-key, so every relaxation inserts a
   fresh entry and an internal-memory bit vector discards stale pops. The
   heap can hold O(E) entries rather than O(V).
@@ -102,6 +103,7 @@ def sssp_binary(
     eg = _prepare(g, source, graph_cache_bytes, block_bytes)
     n = eg.vertex_count
     h = BinaryHeap(pq_cache_bytes, block_bytes)
+    update = h.update
     dist: list[int | None] = [None] * n
     order: list[int] = []
     peak = 0
@@ -114,16 +116,11 @@ def sssp_binary(
             raise BenchTimeout(_result(dist, order, eg, h.vectors(), peak_heap_entries=peak))
         for arc in eg.arcs(*eg.arc_range(v)):
             t = arc >> 64
-            if dist[t] is not None:
-                continue
-            nk = d + (arc & MASK64)
-            cur = h.current_key(t)
-            if cur is None:
-                h.insert(t, nk)
-                if len(h) > peak:
-                    peak = len(h)
-            elif nk < cur:
-                h.decrease_key(t, nk)
+            if dist[t] is None:
+                update(t, d + (arc & MASK64))
+        # the heap only grows while v's arcs relax
+        if len(h) > peak:
+            peak = len(h)
     return _result(dist, order, eg, h.vectors(), peak_heap_entries=peak)
 
 
@@ -176,11 +173,12 @@ def sssp_bucket(
     n = eg.vertex_count
     main = BucketHeap(pq_cache_bytes, block_bytes)
     guard = BucketHeap(pq_cache_bytes, block_bytes)
+    vectors = {"main": main.vector, "guard": guard.vector}
     dist: list[int | None] = [None] * n
     order: list[int] = []
     peak = 0
-    guard_deletes = 0
-    spurious_kills = 0
+    deletes = 0
+    kills = 0
     main_update, main_delete, main_min = main.update, main.delete, main.find_min
     guard_update, guard_min = guard.update, guard.find_min
     source_of_arc = eg.source_of_arc
@@ -198,7 +196,7 @@ def sssp_bucket(
                 break
             guard.delete_min()
             main_delete(source_of_arc(mg[0]))
-            guard_deletes += 1
+            deletes += 1
             mh = main_min()
         if mh is None:
             break  # guard heap was fully drained by the loop above
@@ -214,10 +212,10 @@ def sssp_bucket(
             u = source_of_arc(mg[0])
             eq_vertices.append(u)
             main_delete(u)
-            guard_deletes += 1
+            deletes += 1
         mh = main_min()
         if mh is None or mh[1] != k:
-            spurious_kills += 1  # the candidate minimum was spurious and died to a guard
+            kills += 1  # the candidate minimum was spurious and died to a guard
             continue
         v, d = main.delete_min()
         if dist[v] is not None:
@@ -225,7 +223,9 @@ def sssp_bucket(
         dist[v] = d
         order.append(v)
         if deadline is not None and not len(order) & 1023 and time.monotonic() > deadline:
-            raise BenchTimeout(_bucket_result(dist, order, eg, main, guard, peak, guard_deletes, spurious_kills))
+            raise BenchTimeout(
+                _result(dist, order, eg, vectors, peak_heap_entries=peak, guard_deletes=deletes, spurious_kills=kills)
+            )
         lo, hi = eg.arc_range(v)
         for a, arc in enumerate(eg.arcs(lo, hi), lo):
             nk = d + (arc & MASK64)
@@ -237,19 +237,7 @@ def sssp_bucket(
         occ = main.occupancy() + guard.occupancy()
         if occ > peak:
             peak = occ
-    return _bucket_result(dist, order, eg, main, guard, peak, guard_deletes, spurious_kills)
-
-
-def _bucket_result(dist, order, eg, main, guard, peak, guard_deletes, spurious_kills) -> DistanceResult:
-    return _result(
-        dist,
-        order,
-        eg,
-        {"main": main.vector, "guard": guard.vector},
-        peak_heap_entries=peak,
-        guard_deletes=guard_deletes,
-        spurious_kills=spurious_kills,
-    )
+    return _result(dist, order, eg, vectors, peak_heap_entries=peak, guard_deletes=deletes, spurious_kills=kills)
 
 
 SSSP = {"binary": sssp_binary, "funnel": sssp_funnel, "bucket": sssp_bucket}

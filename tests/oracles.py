@@ -246,6 +246,35 @@ def reference_sift_up(heap, i, item):
     pos.put2(item & MASK64, i + 1)
 
 
+def reference_relax(heap, ident, key):
+    """The binary heap's relaxation as it was before update: current_key's
+    reads of ident's position record and, if ident is live, its heap record;
+    then insert, which reads the position record again, or, for a lower key,
+    decrease_key, which reads both records again before the sift. A drop-in
+    for copq.binary_heap.BinaryHeap.update on valid ids and keys; update must
+    count exactly like it."""
+    vec, pos = heap.heap, heap.positions
+
+    def position():
+        return pos.get2(ident) if ident < heap._ids else 0
+
+    p = position()
+    if not p:
+        assert not position()
+        i = len(heap)
+        heap._n += 1
+        vec.extend(1)
+        if ident >= heap._ids:
+            pos.extend(ident + 1 - heap._ids)
+            heap._ids = ident + 1
+        pos.put2(ident, i + 1)
+        heap._sift_up(i, key << 64 | ident)
+    elif key < vec.get2(p - 1) >> 64:
+        p = position()
+        assert key < vec.get2(p - 1) >> 64
+        heap._sift_up(p - 1, key << 64 | ident)
+
+
 def reference_sift_down(heap, i, item):
     """The binary heap's sift-down one record at a time: a put2 of item at
     slot i, then per step a get2 of the left and then the right child and a

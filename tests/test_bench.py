@@ -240,6 +240,9 @@ class TestCli:
             ("pq-bench", "--heap", "funnel", "--sizes", "-5", "--reps", "1"),
             ("pq-bench", "--heap", "funnel", "--sizes", "256 0", "--reps", "1"),
             ("mem-sweep", "--heap", "funnel", "--n", "-3", "--cache-mb-list", "1", "--reps", "1"),
+            ("pq-bench", "--heap", "funnel", "--sizes", "abc", "--reps", "1"),
+            ("sssp-bench", "--heap", "funnel", "--gnp-sizes", "12x", "--reps", "1"),
+            ("mem-sweep", "--heap", "funnel", "--n", "16", "--cache-mb-list", "two", "--reps", "1"),
         ],
         ids=[
             "reps-0",
@@ -249,6 +252,9 @@ class TestCli:
             "pq-bench-negative-size",
             "pq-bench-zero-size",
             "mem-sweep-negative-n",
+            "pq-bench-sizes-not-numbers",
+            "sssp-bench-gnp-sizes-not-numbers",
+            "mem-sweep-cache-mb-list-not-numbers",
         ],
     )
     def test_bad_values_exit_2_with_one_error_line(self, args, capsys, tmp_path, monkeypatch):
@@ -260,6 +266,15 @@ class TestCli:
         assert [line for line in err.splitlines() if line.startswith("copq: error: ")] == [err.splitlines()[-1]]
         assert "Traceback" not in err and out == ""
         assert not (tmp_path / "g.gr").exists()
+
+    @pytest.mark.parametrize(
+        "cmd,flag,text",
+        [("pq-bench", "--sizes", "abc"), ("sssp-bench", "--gnp-sizes", "12x"), ("mem-sweep", "--cache-mb-list", "two")],
+    )
+    def test_list_flag_that_is_not_numbers_is_named(self, cmd, flag, text, capsys):
+        with pytest.raises(SystemExit):
+            main([cmd, "--heap", "funnel", flag, text, "--reps", "1"])
+        assert capsys.readouterr().err.splitlines()[-1] == f"copq: error: {flag}: not a list of numbers: {text!r}"
 
     @pytest.mark.parametrize(
         "args,path",

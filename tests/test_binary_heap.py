@@ -5,7 +5,7 @@ import pytest
 from copq.binary_heap import BinaryHeap
 from copq.emcore import MB, BlockVector
 
-from oracles import MultisetPQ, reference_sift_down, reference_sift_up
+from oracles import MinMapPQ, MultisetPQ, reference_relax, reference_sift_down, reference_sift_up
 
 
 def make(cache=1 * MB):
@@ -47,27 +47,34 @@ class TestBasics:
         h.delete_min()
         h.insert(3, 9)  # fine once dead
 
-    def test_decrease_key_to_root(self):
+    def test_update_inserts_an_absent_id(self):
         h = make()
-        h.insert(1, 9)
-        h.decrease_key(1, 2)
-        assert h.find_min() == (1, 2)
+        h.insert(1, 5)
+        h.update(2, 3)
+        assert len(h) == 2
+        assert h.delete_min() == (2, 3)
+        assert h.delete_min() == (1, 5)
 
-    def test_decrease_key_equal_is_noop(self):
+    def test_update_lowers_a_live_key_to_the_root(self):
         h = make()
         h.insert(1, 9)
         h.insert(2, 5)
-        h.decrease_key(1, 9)
+        h.update(1, 2)
+        assert len(h) == 2
+        assert h.delete_min() == (1, 2)
+        assert h.delete_min() == (2, 5)
+
+    @pytest.mark.parametrize("key", [9, 10], ids=["equal", "higher"])
+    def test_update_drops_a_key_that_is_not_lower(self, key):
+        h = make()
+        h.insert(1, 9)
+        h.insert(2, 5)
+        before = [(v.stats(), v.peek_lru()) for v in h.vectors().values()]
+        h.update(1, key)
+        # the position and heap reads hit the blocks they touched last
+        assert [(v.stats(), v.peek_lru()) for v in h.vectors().values()] == before
         assert h.delete_min() == (2, 5)
         assert h.delete_min() == (1, 9)
-
-    def test_decrease_key_errors(self):
-        h = make()
-        h.insert(1, 5)
-        with pytest.raises(KeyError):
-            h.decrease_key(2, 1)
-        with pytest.raises(ValueError):
-            h.decrease_key(1, 6)
 
 
 class TestOracle:
@@ -97,33 +104,21 @@ class TestOracle:
         while len(oracle):
             assert h.delete_min() == oracle.delete_min()
 
-    def test_decrease_key_trace_matches_map_oracle(self):
+    def test_update_trace_matches_map_oracle(self):
         rng = random.Random(7)
-        h = make()
-        live = {}  # id -> key, mirror of heap content
-        ident = 0
+        h, oracle = make(), MinMapPQ()
         for _ in range(8_000):
-            r = rng.random()
-            if not live or r < 0.45:
-                k = rng.getrandbits(24)
-                h.insert(ident, k)
-                live[ident] = k
-                ident += 1
-            elif r < 0.75:
-                i = rng.choice(list(live))
-                nk = rng.randrange(live[i] + 1)
-                h.decrease_key(i, nk)
-                live[i] = nk
+            if not len(oracle) or rng.random() < 0.75:
+                # ids repeat, so an update inserts, lowers, or is dropped
+                ident, key = rng.randrange(3_000), rng.getrandbits(12)
+                h.update(ident, key)
+                oracle.update(ident, key)
             else:
-                got = h.delete_min()
-                want = min((k, i) for i, k in live.items())
-                assert got == (want[1], want[0])
-                del live[want[1]]
-        while live:
-            got = h.delete_min()
-            want = min((k, i) for i, k in live.items())
-            assert got == (want[1], want[0])
-            del live[want[1]]
+                assert h.delete_min() == oracle.delete_min()
+        h.check_invariants()
+        while len(oracle):
+            assert h.delete_min() == oracle.delete_min()
+        assert h.find_min() is None
 
     def test_invariants_hold_during_trace(self):
         h = make()
@@ -179,7 +174,7 @@ class TestIoAccounting:
 
 def _counted_trace(seed, block, frames, ops=6000):
     """Pops and both vectors' stats() and LRU state (peek_lru) after each op
-    of a seeded insert, delete_min and decrease_key trace, then stats() after
+    of a seeded insert, delete_min and key-lowering update trace, then stats() after
     a final drop_cache(). One seed in three draws keys from [0, 20), so many
     records tie."""
     h = BinaryHeap(cache_bytes=frames * block, block_bytes=block)
@@ -200,7 +195,7 @@ def _counted_trace(seed, block, frames, ops=6000):
         elif x < (0.75 if step < ops // 2 else 0.35):
             i = rng.choice(list(live))
             live[i] = rng.randrange(live[i] + 1)
-            h.decrease_key(i, live[i])
+            h.update(i, live[i])
             out = None
         else:
             out = h.delete_min()
@@ -256,3 +251,42 @@ class TestWindowSift:
         for _ in range(1000):
             h.delete_min()
         assert len(switches) == 6965
+
+
+def _relax_trace(relax, seed, block, frames, ops=3000):
+    """Pops and both vectors' stats() and LRU state after each op of a seeded
+    trace of relaxations, relax(heap, id, key), and delete_mins, then stats()
+    after a final drop_cache(). Ids repeat, so a relaxation inserts, lowers,
+    or meets a key that is not lower; one seed in three draws keys from
+    [0, 20), so many keys tie."""
+    h = BinaryHeap(cache_bytes=frames * block, block_bytes=block)
+    rng = random.Random(seed)
+    key = (lambda: rng.randrange(20)) if seed % 3 == 0 else (lambda: rng.getrandbits(16))
+    log = []
+    for step in range(ops):
+        # grow for the first half, shrink in the second
+        if not len(h) or rng.random() < (0.7 if step < ops // 2 else 0.3):
+            relax(h, rng.randrange(600), key())
+            out = None
+        else:
+            out = h.delete_min()
+        log.append((out, h.heap.stats(), h.positions.stats(), h.heap.peek_lru(), h.positions.peek_lru()))
+    h.check_invariants()
+    for vec in h.vectors().values():
+        vec.drop_cache()
+    log.append((None, h.heap.stats(), h.positions.stats()))
+    return log
+
+
+@pytest.mark.parametrize("block,frames", SIFT_GRID)
+def test_update_counts_like_current_key_then_insert_or_decrease_key(block, frames):
+    """update makes one position read and at most one heap read; the
+    relaxation it replaces (oracles.reference_relax) read the same records
+    twice. The second reads hit the block their vector touched last, so both
+    must leave the same counts, LRU order and dirty flags after every op."""
+    seed = SIFT_GRID.index((block, frames))
+    want = _relax_trace(reference_relax, seed, block, frames)
+    got = _relax_trace(BinaryHeap.update, seed, block, frames)
+    bad = next((i for i, (a, b) in enumerate(zip(got, want)) if a != b), None)
+    assert bad is None, f"op {bad}: update {got[bad]}, reference relaxation {want[bad]}"
+    assert len(got) == len(want)

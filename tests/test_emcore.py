@@ -500,6 +500,28 @@ class TestTouch:
                 v.touch(b, False)
         assert v.stats() == IoStats(1, 0, 0)
 
+    @pytest.mark.parametrize("state", ["fresh", "truncated", "dropped"])
+    def test_no_block_state_matches_no_block_id(self, state):
+        # the states in which the vector's fast path points at no block
+        v = make(cache=4 * 64, block=64, rec=16)
+        v.extend(32)  # blocks 0..7
+        if state == "truncated":
+            v.touch(7, True)
+            v.truncate(20)  # drops blocks 5..7; block 7 keeps its frame, dirty
+        elif state == "dropped":
+            v.touch(7, True)
+            v.drop_cache()
+        before = (v.stats(), v.peek_lru())
+        for dirty in (False, True):
+            with pytest.raises(IndexError):
+                v.touch(-1, dirty)
+            assert (v.stats(), v.peek_lru()) == before
+        # no phantom block -1 took a frame or a dirty flag
+        for b in range(len(v) // 4):
+            v.touch(b, False)
+        assert all(b >= 0 for b, _ in v.peek_lru())
+        assert v.stats().block_writes == before[0].block_writes + (state == "truncated")
+
 
 class TestPeekLru:
     def test_resident_blocks_dirty_flags_in_lru_order(self):

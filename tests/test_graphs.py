@@ -42,6 +42,22 @@ class TestGnp:
         assert list(g.neighbors(0)) == [(1, 1)]
         assert list(g.neighbors(1)) == [(0, 1)]
 
+    @pytest.mark.parametrize("field", ["n", "weight_max", "seed"])
+    @pytest.mark.parametrize("value", [2.5, 8.0, "8", None])
+    def test_non_integer_fields_rejected_naming_the_field(self, field, value):
+        with pytest.raises(ValueError, match=f"^{field} must be an integer"):
+            GnpSpec(**{"n": 8, field: value})
+
+    def test_integer_like_fields_stored_as_ints(self):
+        class Index:
+            def __index__(self):
+                return 6
+
+        spec = GnpSpec(n=Index(), weight_max=True, seed=Index())
+        assert (spec.n, spec.weight_max, spec.seed) == (6, 1, 6)
+        assert all(type(f) is int for f in (spec.n, spec.weight_max, spec.seed))
+        assert set(gen_gnp(spec).weights) <= {1}
+
     def test_p_zero_no_arcs(self):
         g = gen_gnp(GnpSpec(n=100, p=0.0))
         assert g.arc_count == 0

@@ -44,11 +44,7 @@ def test_binary_heap_rejects_without_change(ops):
     oracle = MinMapPQ()
     for op, ident, key, bad in ops:
         if op == 0:
-            cur = oracle.live.get(ident)
-            if cur is None:
-                h.insert(ident, key)
-            elif key < cur:
-                h.decrease_key(ident, key)
+            h.update(ident, key)
             oracle.update(ident, key)
             continue
         if op == 1:
@@ -58,9 +54,9 @@ def test_binary_heap_rejects_without_change(ops):
         invalid = [
             (h.insert, bad, key),
             (h.insert, ident, bad),
-            (h.decrease_key, bad, key),
-            (h.decrease_key, ident, bad),
-            (h.current_key, bad),
+            (h.update, bad, key),
+            (h.update, ident, bad),
+            (h.update, bad, bad),
         ]
         rejected(*invalid[op - 2])
         h.check_invariants()
@@ -144,9 +140,10 @@ def test_index_objects_and_bools_stored_as_ints(heap):
 def test_index_objects_in_the_keyed_operations():
     b = BinaryHeap(cache_bytes=4 * 256, block_bytes=256)
     b.insert(3, 70)
-    b.decrease_key(Index(3), Index(40))
-    assert b.current_key(Index(3)) == 40
-    assert b.delete_min() == (3, 40)
+    b.update(Index(3), Index(40))
+    b.update(Index(4), Index(50))
+    b.update(Index(4), Index(60))
+    assert [b.delete_min() for _ in range(2)] == [(3, 40), (4, 50)]
     u = BucketHeap(cache_bytes=4 * 256, block_bytes=256)
     u.update(3, 70)
     u.update(Index(3), Index(40))
@@ -177,9 +174,13 @@ def test_extreme_fields_through_the_record_packing(heap):
             h.insert(ident, key)
             assert h.find_min() == (ident, key)
             assert min_record_bytes(h) == struct.pack("<QQ", key, ident)
-            if heap is BinaryHeap:
-                assert h.current_key(ident) == key
             assert h.delete_min() == (ident, key)
+            if heap is BinaryHeap:  # update: an absent id, a key that is not lower, a lower one
+                h.update(ident, MASK64)
+                h.update(ident, MASK64)
+                h.update(ident, key)
+                assert min_record_bytes(h) == struct.pack("<QQ", key, ident)
+                assert h.delete_min() == (ident, key)
     # every id with each key in turn; the binary heap's live ids are unique,
     # so it empties after each round, the others hold all rounds at once
     h = heap(cache_bytes=4 * 256, block_bytes=256)
