@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import math
 import sys
 
 from .bench import (
@@ -41,8 +42,16 @@ def _add_runs(p: argparse.ArgumentParser) -> None:
     p.add_argument("--csv", type=str, default=None, help="write results to this file (default stdout)")
 
 
+def _mb_bytes(flag: str, mb: float) -> int:
+    """mb MB in whole bytes; a size that is not finite is a ValueError naming flag."""
+    size = mb * MB
+    if not math.isfinite(size):
+        raise ValueError(f"{flag}: {mb} MB is not a finite number of bytes")
+    return int(size)
+
+
 def _cache_bytes(args) -> int:
-    return args.cache_bytes if args.cache_bytes is not None else int(args.cache_mb * MB)
+    return args.cache_bytes if args.cache_bytes is not None else _mb_bytes("--cache-mb", args.cache_mb)
 
 
 def _parse_list(flag: str, text: str, kind=int) -> list:
@@ -164,7 +173,7 @@ def main(argv: list[str] | None = None) -> int:
             g = gen_gnp(checked(GnpSpec, n=args.gnp_n, weight_max=args.wmax, seed=args.seed))
         else:
             raise SystemExit("verify: need --gnp-n or --dimacs")
-        cache = _cache_bytes(args)
+        cache = checked(_cache_bytes, args)
         checked(EmConfig, cache, args.block_bytes)
         if not 0 <= args.source < g.vertex_count:
             ap.error(f"--source {args.source} out of range [0, {g.vertex_count})")
@@ -188,9 +197,10 @@ def main(argv: list[str] | None = None) -> int:
     if args.cmd == "mem-sweep":
         caches = MEM_SWEEP_CACHES
         if args.cache_mb_list:
-            caches = [int(m * MB) for m in checked(_parse_list, "--cache-mb-list", args.cache_mb_list, float)]
+            listed = checked(_parse_list, "--cache-mb-list", args.cache_mb_list, float)
+            caches = [checked(_mb_bytes, "--cache-mb-list", m) for m in listed]
     else:
-        caches = [_cache_bytes(args)]
+        caches = [checked(_cache_bytes, args)]
     for cache in caches:
         checked(EmConfig, cache, args.block_bytes)
     runs = dict(block_bytes=args.block_bytes, seed=args.seed, reps=args.reps, timeout_secs=args.timeout_secs)

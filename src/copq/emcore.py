@@ -57,9 +57,12 @@ stretch, each time to the sequence the last rewrite left. It has two users:
   time. Per record, a window touches its out block and the blocks of its
   two inputs, interleaved, over at most three blocks; with at least three
   frames it is charged by touching each block once in first-touch order,
-  then once in last-touch order. A window never leaves its blocks, so it
-  reads its inputs as slices of the lists ``touch`` returns and stores its
-  outputs by a slice assignment to the out block's list.
+  then once in last-touch order. A window ends only where a ring leaves its
+  block or runs empty, or the batch is full. A ring that lies in one block
+  wraps inside it, which adds no block to the window and so changes no
+  charge. A window never leaves its blocks, so it reads its inputs as
+  slices of the lists ``touch`` returns and stores its outputs by slice
+  assignment to the out block's list (two slices across a wrap).
 - The binary heap's sifts (``BinaryHeap._sift_down``, ``_sift_up``) move
   records in the lists ``touch`` returns. Per record, a sift over the path
   blocks b0, b1, ..., bL reads b(j+1) and then writes b(j) at each step:

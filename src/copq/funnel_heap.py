@@ -78,16 +78,20 @@ class _Ring:
     Content is always a sorted run; pops come from the head, appends go to
     the tail. `producer` is the merger that refills the ring: None for the
     insertion buffer, the leaves and the empty ring behind the last link.
+    `block` is the block holding the whole region for `rpb` records per
+    block, else -1 (always for an empty region).
     """
 
-    __slots__ = ("start", "cap", "head", "count", "producer")
+    __slots__ = ("start", "cap", "head", "count", "producer", "block")
 
-    def __init__(self, start: int, cap: int):
+    def __init__(self, start: int, cap: int, rpb: int):
         self.start = start
         self.cap = cap
         self.head = 0
         self.count = 0
         self.producer = None
+        b = start // rpb
+        self.block = b if cap and (start + cap - 1) // rpb == b else -1
 
     def peek(self, vec: BlockVector) -> int:
         return vec.get2(self.start + self.head)
@@ -154,14 +158,18 @@ class _Merger:
         # Every fill starts on an empty out ring: callers fill a ring only
         # when its count is 0, and no child's subtree holds it, so out.count
         # is stored once, at the end. A side L (R) is None until its head is
-        # read, () while its whole subtree is empty, else the records of its
-        # current block lb (rb) from the head on, sliced from the list a touch
-        # of the block returns at the head read; li (ri) indexes the head in
-        # it. A head step reads a head, after a child fill if its ring ran
-        # empty. Then a block window moves at once: the outputs up to the
-        # first point where the out ring or a side ring would leave its
-        # current block, wrap or run empty, or the batch is full; the left
-        # side wins ties.
+        # read, () while its whole subtree is empty, else the records from the
+        # head on that its current block lb (rb) holds, in ring order, sliced
+        # from the list a touch of the block returns at the head read; li (ri)
+        # indexes the head in it. A head step reads a head, after a child fill
+        # if its ring ran empty. Then a block window moves at once: the
+        # outputs up to the first point where the out ring or a side ring
+        # would leave its current block or run empty, or the batch is full;
+        # the left side wins ties. A ring over several blocks leaves its last
+        # block where it wraps, so its windows end there too. A ring that
+        # lies in one block (its `block` field) never leaves it: a window runs
+        # on across its wrap, reading the records in two slices of the
+        # block's list and writing them in two slice assignments.
         #
         # Exactness: per record, a window touches O S O S ... O (O the out
         # block, each S the block of the side the output before it consumed)
@@ -174,12 +182,14 @@ class _Merger:
         # that leave the side of output n-1 and O on top; with fewer frames a
         # window is one output, the per-record sequence itself. A window never
         # leaves its blocks, so every touch charges like a get2 (a put2 when
-        # dirty) of a record in the block.
+        # dirty) of a record in the block; a wrap inside a block changes no
+        # block, so it changes no charge.
         touch = vec.touch
         rpb, wide = self.rpb, self.wide
         out = self.out
         want = self.batch
-        ostart, ocap, ocount = out.start, out.cap, out.count
+        ostart, ocap, oblock, ocount = out.start, out.cap, out.block, out.count
+        obase = ostart - oblock * rpb  # the out region's first slot in its block
         opos = out.head + ocount
         lring, rring = self.left, self.right
         lprod, rprod = lring.producer, rring.producer
@@ -191,46 +201,69 @@ class _Merger:
                     lprod.fill(vec)
                 L, li = (), 0
                 if lring.count:
-                    lb, off = divmod(lring.start + lring.head, rpb)
                     mru = lring
-                    # the side's records to the end of its block, its wrap or its
-                    # last record, at most what this fill can still output
-                    n = rpb - off
-                    if lring.cap - lring.head < n:
-                        n = lring.cap - lring.head
-                    if lring.count < n:
-                        n = lring.count
+                    # the side's records up to its last one, at most what this
+                    # fill can still output, and for a ring over several
+                    # blocks up to the end of its block or of its region
+                    n = lring.count
                     if want - ocount < n:
                         n = want - ocount
-                    L = touch(lb, False)[off : off + n]
+                    lb = lring.block
+                    if lb < 0:
+                        lb, off = divmod(lring.start + lring.head, rpb)
+                        if rpb - off < n:
+                            n = rpb - off
+                        if lring.cap - lring.head < n:
+                            n = lring.cap - lring.head
+                        L = touch(lb, False)[off : off + n]
+                    else:  # the region lies in block lb; k records precede its end
+                        data, off, k = touch(lb, False), lring.start + lring.head - lb * rpb, lring.cap - lring.head
+                        if n <= k:
+                            L = data[off : off + n]
+                        else:
+                            L = data[off : off + k] + data[off + k - lring.cap : off + n - lring.cap]
             if R is None:
                 if rring.count == 0 and rprod is not None and not rprod.dry:
                     rprod.fill(vec)
                     mru = None
                 R, ri = (), 0
                 if rring.count:
-                    rb, off = divmod(rring.start + rring.head, rpb)
                     mru = rring
-                    n = rpb - off
-                    if rring.cap - rring.head < n:
-                        n = rring.cap - rring.head
-                    if rring.count < n:
-                        n = rring.count
+                    n = rring.count
                     if want - ocount < n:
                         n = want - ocount
-                    R = touch(rb, False)[off : off + n]
-            ob, off = divmod(ostart + opos, rpb)
-            t = rpb - off if wide else 1
-            if ocap - opos < t:
-                t = ocap - opos
-            if want - ocount < t:
-                t = want - ocount
-            if not R:
+                    rb = rring.block
+                    if rb < 0:
+                        rb, off = divmod(rring.start + rring.head, rpb)
+                        if rpb - off < n:
+                            n = rpb - off
+                        if rring.cap - rring.head < n:
+                            n = rring.cap - rring.head
+                        R = touch(rb, False)[off : off + n]
+                    else:
+                        data, off, k = touch(rb, False), rring.start + rring.head - rb * rpb, rring.cap - rring.head
+                        if n <= k:
+                            R = data[off : off + n]
+                        else:
+                            R = data[off : off + k] + data[off + k - rring.cap : off + n - rring.cap]
+            t = want - ocount if wide else 1
+            if oblock < 0:
+                ob, off = divmod(ostart + opos, rpb)
+                if rpb - off < t:
+                    t = rpb - off
+                if ocap - opos < t:
+                    t = ocap - opos
+            else:
+                ob, off = oblock, obase + opos
+            # a side moves as one slice, up to its end or the window's size,
+            # when the other side is empty or that whole run comes before the
+            # other side's head (the left winning ties); else the sides merge
+            if not R or L and not R[ri] < L[li + t - 1 if li + t < len(L) else -1]:
                 if not L:
                     break
                 i = li + t if li + t < len(L) else len(L)
                 merged, j, last_left = L[li:i], ri, True
-            elif not L:
+            elif not L or R[ri + t - 1 if ri + t < len(R) else -1] < L[li]:
                 j = ri + t if ri + t < len(R) else len(R)
                 merged, i, last_left = R[ri:j], li, False
             else:
@@ -255,7 +288,12 @@ class _Merger:
                             break
                         x = L[i]
             n = len(merged)
-            touch(ob, True)[off : off + n] = merged  # O: the window's first touch
+            if opos + n <= ocap:
+                touch(ob, True)[off : off + n] = merged  # O: the window's first touch
+            else:  # the out ring wraps inside its block
+                data, k = touch(ob, True), ocap - opos
+                data[off : off + k] = merged[:k]
+                data[obase : obase + n - k] = merged[k:]
             # the sides read inside the window are those of outputs 1..n-1
             lread, rread = i - last_left > li, j - (not last_left) > ri
             if lread and rread:
@@ -270,19 +308,19 @@ class _Merger:
                 touch(lb if lread else rb, False)
                 touch(ob, False)
             opos += n
-            if opos == ocap:
-                opos = 0
+            if opos >= ocap:
+                opos -= ocap
             ocount += n
             if i > li:
                 lring.head += i - li
-                if lring.head == lring.cap:
-                    lring.head = 0
+                if lring.head >= lring.cap:
+                    lring.head -= lring.cap
                 lring.count -= i - li
                 li = i
             if j > ri:
                 rring.head += j - ri
-                if rring.head == rring.cap:
-                    rring.head = 0
+                if rring.head >= rring.cap:
+                    rring.head -= rring.cap
                 rring.count -= j - ri
                 ri = j
             # the side of output n reads its head again at the next head step
@@ -310,7 +348,7 @@ def _build_kmerger(
     top_f, bot_f = _merger_split(k)
     top_pos = pos
     pos += _intsize(top_f)
-    mids = [_Ring(pos + t * bot_f**3, bot_f**3) for t in range(top_f)]
+    mids = [_Ring(pos + t * bot_f**3, bot_f**3, geom[0]) for t in range(top_f)]
     internals.extend(mids)
     pos += top_f * bot_f**3
     for t in range(top_f):
@@ -341,7 +379,7 @@ class FunnelHeap:
         self._rpb = self.vector.config.records_per_block
         self._wide = self.vector.config.frame_count >= 3  # see _Merger.fill
         self.vector.extend(_INSERTION_CAP)
-        self._I = _Ring(0, _INSERTION_CAP)
+        self._I = _Ring(0, _INSERTION_CAP, self._rpb)
         # sorted mirror of the insertion buffer: spares re-reading its one hot
         # block on peeks; the vector stays authoritative (all writes go through)
         self._imirror: list[int] = []
@@ -371,10 +409,21 @@ class FunnelHeap:
         # the shifted tail mirror[pos:] in at most two runs, the ring's order:
         # mirror[split:] wraps round to the start of the ring's region
         split = I.cap - I.head
-        if pos < split:
-            vec.write_run2(I.start + I.head + pos, mirror[pos:split])
-        if I.count > split:
-            vec.write_run2(I.start + max(pos - split, 0), mirror[max(pos, split) :])
+        b = I.block
+        if b < 0:
+            if pos < split:
+                vec.write_run2(I.start + I.head + pos, mirror[pos:split])
+            if I.count > split:
+                vec.write_run2(I.start + max(pos - split, 0), mirror[max(pos, split) :])
+        else:
+            # the region lies in block b, so one dirty touch charges like the
+            # runs (at least one is non-empty); lo is the region's first slot
+            data = vec.touch(b, True)
+            lo = I.start - b * self._rpb
+            if pos < split:
+                data[lo + I.head + pos : lo + I.head + min(I.count, split)] = mirror[pos:split]
+            if I.count > split:
+                data[lo + max(pos - split, 0) : lo + I.count - split] = mirror[max(pos, split) :]
         self._n += 1
 
     def find_min(self) -> tuple[int, int] | None:
@@ -419,14 +468,15 @@ class FunnelHeap:
         s, k, acap, bcap, intsz, leafcap = _link_params(num)
         base = len(self.vector)
         self.vector.extend(acap + bcap + intsz + k * leafcap)
-        A = _Ring(base, acap)
-        B = _Ring(base + acap, bcap)
+        rpb = self._rpb
+        A = _Ring(base, acap, rpb)
+        B = _Ring(base + acap, bcap, rpb)
         leaf_base = base + acap + bcap + intsz
-        leaves = [_Ring(leaf_base + t * leafcap, leafcap) for t in range(k)]
+        leaves = [_Ring(leaf_base + t * leafcap, leafcap, rpb) for t in range(k)]
         internals: list[_Ring] = []
-        geom = (self._rpb, self._wide)
+        geom = (rpb, self._wide)
         _build_kmerger(base + acap + bcap, k, leaves, B, internals, geom)
-        _Merger(A, B, _Ring(0, 0), s, geom)
+        _Merger(A, B, _Ring(0, 0, rpb), s, geom)
         if self._links:
             self._links[-1].A.producer.right = A
         self._links.append(_Link(A, B, leaves, internals))

@@ -135,10 +135,11 @@ def sssp_funnel(
     eg = _prepare(g, source, graph_cache_bytes, block_bytes)
     n = eg.vertex_count
     h = FunnelHeap(pq_cache_bytes, block_bytes)
+    insert = h.insert
     visited = bytearray(n)  # internal memory only: zero simulated transfers
     dist: list[int | None] = [None] * n
     order: list[int] = []
-    h.insert(source, 0)
+    insert(source, 0)
     inserts = peak = 1
     while len(h):
         v, d = h.delete_min()
@@ -152,10 +153,11 @@ def sssp_funnel(
         for arc in eg.arcs(*eg.arc_range(v)):
             t = arc >> 64
             if not visited[t]:
-                h.insert(t, d + (arc & MASK64))
+                insert(t, d + (arc & MASK64))
                 inserts += 1
-                if len(h) > peak:
-                    peak = len(h)
+        # the heap only grows while v's arcs relax
+        if len(h) > peak:
+            peak = len(h)
     return _result(dist, order, eg, h.vectors(), peak_heap_entries=peak, heap_inserts=inserts)
 
 

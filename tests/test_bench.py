@@ -243,6 +243,10 @@ class TestCli:
             ("pq-bench", "--heap", "funnel", "--sizes", "abc", "--reps", "1"),
             ("sssp-bench", "--heap", "funnel", "--gnp-sizes", "12x", "--reps", "1"),
             ("mem-sweep", "--heap", "funnel", "--n", "16", "--cache-mb-list", "two", "--reps", "1"),
+            ("pq-bench", "--heap", "funnel", "--sizes", "16", "--reps", "1", "--cache-mb", "inf"),
+            ("pq-bench", "--heap", "funnel", "--sizes", "16", "--reps", "1", "--cache-mb", "nan"),
+            ("mem-sweep", "--heap", "funnel", "--n", "16", "--cache-mb-list", "inf", "--reps", "1"),
+            ("mem-sweep", "--heap", "funnel", "--n", "16", "--cache-mb-list", "1 nan", "--reps", "1"),
         ],
         ids=[
             "reps-0",
@@ -255,6 +259,10 @@ class TestCli:
             "pq-bench-sizes-not-numbers",
             "sssp-bench-gnp-sizes-not-numbers",
             "mem-sweep-cache-mb-list-not-numbers",
+            "pq-bench-cache-mb-inf",
+            "pq-bench-cache-mb-nan",
+            "mem-sweep-cache-mb-list-inf",
+            "mem-sweep-cache-mb-list-nan",
         ],
     )
     def test_bad_values_exit_2_with_one_error_line(self, args, capsys, tmp_path, monkeypatch):

@@ -4,6 +4,8 @@ import pytest
 
 from copq.funnel_heap import FunnelHeap, _Merger, _link_params
 from copq.emcore import MB
+from copq.graphs import GnpSpec, gen_gnp
+from copq.sssp import sssp_funnel
 
 from oracles import MultisetPQ, reference_fill
 
@@ -243,7 +245,11 @@ def _counted_trace(seed, block, frames, ops=6000):
     return log
 
 
-WINDOW_GRID = [(block, frames) for block in (16, 32, 48, 64, 256) for frames in (1, 2, 3, 4, 5, 8)]
+# blocks of 1024 and 4096 bytes (64 and 256 records) hold whole insertion
+# buffers, A, B and merger rings, so windows run across wraps inside a block
+WINDOW_GRID = [(block, frames) for block in (16, 32, 48, 64, 256) for frames in (1, 2, 3, 4, 5, 8)] + [
+    (block, frames) for block in (1024, 4096) for frames in (3, 4, 8)
+]
 
 
 class TestWindowMerge:
@@ -261,3 +267,17 @@ class TestWindowMerge:
         bad = next((i for i, (a, b) in enumerate(zip(got, want)) if a != b), None)
         assert bad is None, f"op {bad}: window merge {got[bad]}, per-record merge {want[bad]}"
         assert len(got) == len(want)
+
+    def test_sssp_counts_like_per_record_merge(self, monkeypatch):
+        # Dijkstra's insert/delete_min mix at M = 32 KB, B = 4 KB: 256 records
+        # per block, so most rings lie in one block and windows cross wraps
+        g = gen_gnp(GnpSpec(n=1 << 10, seed=5))
+
+        def run():
+            res = sssp_funnel(g, 7, pq_cache_bytes=32 * 1024, graph_cache_bytes=32 * 1024, block_bytes=4096)
+            return res.dist, res.stats, res.heap_inserts, res.peak_heap_entries
+
+        with monkeypatch.context() as m:
+            m.setattr(_Merger, "fill", reference_fill)
+            want = run()
+        assert run() == want

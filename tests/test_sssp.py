@@ -1,10 +1,13 @@
 import random
 import time
+from pathlib import Path
 
 import pytest
 
+from copq import sssp
 from copq.emcore import MB
-from copq.graphs import GnpSpec, Graph, gen_gnp, load_csr
+from copq.funnel_heap import FunnelHeap
+from copq.graphs import GnpSpec, Graph, gen_gnp, load_csr, parse_dimacs
 from copq.sssp import BenchTimeout, sssp_binary, sssp_bucket, sssp_funnel, sssp_reference
 
 from oracles import bellman_ford
@@ -104,6 +107,23 @@ class TestFunnelVariant:
         res = sssp_funnel(g, 0, pq_cache_bytes=1 * MB)
         assert res.heap_inserts <= g.arc_count + 1
         assert res.peak_heap_entries <= g.arc_count + 1
+
+    def test_peak_matches_a_per_insert_tracker(self, monkeypatch):
+        # the peak is taken once per settled vertex; the heap only grows while
+        # its arcs relax, so that is the peak over the sizes after every insert
+        sizes = []
+
+        class Tracked(FunnelHeap):
+            def insert(self, ident, key):
+                super().insert(ident, key)
+                sizes.append(len(self))
+
+        monkeypatch.setattr(sssp, "FunnelHeap", Tracked)
+        g = parse_dimacs((Path(__file__).parent / "data" / "sample_10k.gr").read_text(encoding="ascii"))
+        res = sssp_funnel(g, 0, pq_cache_bytes=64 * 1024)
+        assert res.dist == sssp_reference(g, 0).dist
+        assert res.heap_inserts == len(sizes)
+        assert res.peak_heap_entries == max(sizes)
 
 
 class TestBucketVariant:
