@@ -111,12 +111,17 @@ def pq_workload(
     return checksum
 
 
-def _bench_rows(experiment, structure, cases, cache_bytes, block_bytes, seed, reps, run) -> list[BenchRecord]:
+def _bench_rows(
+    experiment, structure, cases, cache_bytes, block_bytes, seed, reps, timeout_secs, run
+) -> list[BenchRecord]:
     """One row per (size, case). run(case, seed + rep) returns (timed_out,
     wall, pq IoStats, graph IoStats, peak); a row averages the reps up to the
     first that timed out, which ends the grid with wall_seconds "timeout"."""
     if reps < 1:
         raise ValueError(f"reps must be at least 1, got {reps}")
+    # NaN fails the test too: a deadline of NaN would never pass
+    if timeout_secs is not None and not timeout_secs >= 0:
+        raise ValueError(f"timeout_secs must be at least 0, got {timeout_secs}")
     records = []
     for size, case in cases:
         runs = []
@@ -173,7 +178,8 @@ def run_pq_bench(
             timed_out = True
         return timed_out, time.perf_counter() - t0, io_stats(heap), IoStats(), peak[0]
 
-    return _bench_rows("pq", structure, [(n, n) for n in sizes], cache_bytes, block_bytes, seed, reps, run)
+    cases = [(n, n) for n in sizes]
+    return _bench_rows("pq", structure, cases, cache_bytes, block_bytes, seed, reps, timeout_secs, run)
 
 
 def run_sssp_bench(
@@ -218,7 +224,7 @@ def run_sssp_bench(
                 )
         return timed_out, wall, res.stats["pq"], res.stats["graph"], res.peak_heap_entries
 
-    return _bench_rows("sssp", structure, graphs, cache_bytes, block_bytes, seed, reps, run)
+    return _bench_rows("sssp", structure, graphs, cache_bytes, block_bytes, seed, reps, timeout_secs, run)
 
 
 def mem_sweep(

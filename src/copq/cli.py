@@ -55,11 +55,15 @@ def _cache_bytes(args) -> int:
 
 
 def _parse_list(flag: str, text: str, kind=int) -> list:
-    """The numbers in text, split at commas or spaces; a ValueError names flag."""
+    """The numbers in text, split at commas or spaces; a ValueError names flag,
+    also for an empty list, which would otherwise run the default grid."""
     try:
-        return [kind(t) for t in text.replace(",", " ").split()]
+        values = [kind(t) for t in text.replace(",", " ").split()]
     except ValueError:
         raise ValueError(f"{flag}: not a list of numbers: {text!r}") from None
+    if not values:
+        raise ValueError(f"{flag}: empty list: {text!r}")
+    return values
 
 
 def _open(path: str, mode: str = "r"):
@@ -89,16 +93,16 @@ def _load_gen_config(path: str) -> dict:
             try:
                 vals[key] = _GNP_KEYS[key](value)
             except (KeyError, ValueError):
-                raise SystemExit(f"gen-graph: bad config entry {item!r} (want n|p|wmax|seed=value)") from None
+                raise ValueError(f"{path}: bad config entry {item!r} (want n|p|wmax|seed=value)") from None
     return vals
 
 
 def _gnp_spec_from(args) -> GnpSpec:
     vals = {key: getattr(args, key) for key in _GNP_KEYS}
-    if args.config:
+    if args.config is not None:
         vals.update(_load_gen_config(args.config))
-    if not vals["n"]:
-        raise SystemExit("gen-graph: need n (flag or config file)")
+    if vals["n"] is None:
+        raise ValueError("need --n or an n= entry in --config")
     return GnpSpec(n=vals["n"], p=vals["p"], weight_max=vals["wmax"], seed=vals["seed"])
 
 
@@ -167,12 +171,12 @@ def main(argv: list[str] | None = None) -> int:
         return 0
 
     if args.cmd == "verify":
-        if args.dimacs:
+        if args.dimacs is not None:
             g = checked(_read_dimacs, args.dimacs)
-        elif args.gnp_n:
+        elif args.gnp_n is not None:
             g = gen_gnp(checked(GnpSpec, n=args.gnp_n, weight_max=args.wmax, seed=args.seed))
         else:
-            raise SystemExit("verify: need --gnp-n or --dimacs")
+            ap.error("need --gnp-n or --dimacs")
         cache = checked(_cache_bytes, args)
         checked(EmConfig, cache, args.block_bytes)
         if not 0 <= args.source < g.vertex_count:
@@ -196,7 +200,7 @@ def main(argv: list[str] | None = None) -> int:
         ap.error(f"--reps must be at least 1, got {args.reps}")
     if args.cmd == "mem-sweep":
         caches = MEM_SWEEP_CACHES
-        if args.cache_mb_list:
+        if args.cache_mb_list is not None:
             listed = checked(_parse_list, "--cache-mb-list", args.cache_mb_list, float)
             caches = [checked(_mb_bytes, "--cache-mb-list", m) for m in listed]
     else:
@@ -205,14 +209,18 @@ def main(argv: list[str] | None = None) -> int:
         checked(EmConfig, cache, args.block_bytes)
     runs = dict(block_bytes=args.block_bytes, seed=args.seed, reps=args.reps, timeout_secs=args.timeout_secs)
     if args.cmd == "pq-bench":
-        sizes = checked(_parse_list, "--sizes", args.sizes) if args.sizes else None
+        sizes = checked(_parse_list, "--sizes", args.sizes) if args.sizes is not None else None
         records = checked(run_pq_bench, args.heap, sizes, cache_bytes=caches[0], **runs)
     elif args.cmd == "sssp-bench":
-        if args.dimacs:
+        if args.dimacs is not None:
+            if not args.dimacs:
+                ap.error("--dimacs: no file given")
             parsed = [checked(_read_dimacs, path) for path in args.dimacs]
             graphs = [(g.vertex_count, g) for g in parsed]
         else:
-            sizes = checked(_parse_list, "--gnp-sizes", args.gnp_sizes) if args.gnp_sizes else SSSP_RANDOM_SIZES
+            sizes = SSSP_RANDOM_SIZES
+            if args.gnp_sizes is not None:
+                sizes = checked(_parse_list, "--gnp-sizes", args.gnp_sizes)
             graphs = [(n, gen_gnp(checked(GnpSpec, n=n, weight_max=args.wmax, seed=args.seed))) for n in sizes]
         records = checked(
             run_sssp_bench, args.heap, graphs, cache_bytes=caches[0], verify_cap=args.verify_cap, **runs

@@ -103,6 +103,26 @@ class _Ring:
             self.head = 0
         self.count -= 1
 
+    def head_run(self, touch, rpb: int, n: int) -> tuple[int, list[int]]:
+        """The head record's block and, from one clean touch of it, the
+        records from the head on, in ring order: at most n, none past the
+        last, and for a ring over several blocks none past the end of that
+        block or of the region. A ring in one block reads on across its wrap,
+        in two slices of the block's list."""
+        if self.count < n:
+            n = self.count
+        b, head, cap = self.block, self.head, self.cap
+        if b < 0:  # the slice ends at the block's end, where its list ends
+            b, off = divmod(self.start + head, rpb)
+            if cap - head < n:
+                n = cap - head
+            return b, touch(b, False)[off : off + n]
+        # the region lies in block b; k records precede its end
+        data, off, k = touch(b, False), self.start + head - b * rpb, cap - head
+        if n <= k:
+            return b, data[off : off + n]
+        return b, data[off : off + k] + data[off + k - cap : off + n - cap]
+
     def drain(self, vec: BlockVector) -> list[int]:
         """Empty the ring, returning its records: one run up to the end of
         the region and, if the ring wraps, one from its start."""
@@ -158,18 +178,19 @@ class _Merger:
         # Every fill starts on an empty out ring: callers fill a ring only
         # when its count is 0, and no child's subtree holds it, so out.count
         # is stored once, at the end. A side L (R) is None until its head is
-        # read, () while its whole subtree is empty, else the records from the
-        # head on that its current block lb (rb) holds, in ring order, sliced
-        # from the list a touch of the block returns at the head read; li (ri)
-        # indexes the head in it. A head step reads a head, after a child fill
-        # if its ring ran empty. Then a block window moves at once: the
-        # outputs up to the first point where the out ring or a side ring
-        # would leave its current block or run empty, or the batch is full;
-        # the left side wins ties. A ring over several blocks leaves its last
-        # block where it wraps, so its windows end there too. A ring that
-        # lies in one block (its `block` field) never leaves it: a window runs
-        # on across its wrap, reading the records in two slices of the
-        # block's list and writing them in two slice assignments.
+        # read, () while its whole subtree is empty, else the run that
+        # _Ring.head_run returned at the head read, at most what this fill can
+        # still output: the records from the head on that the side's current
+        # block lb (rb) holds, in ring order; li (ri) indexes the head in it.
+        # A head step reads a head, after a child fill if its ring ran empty.
+        # Then a block window moves at once: the outputs up to the first point
+        # where the out ring or a side ring would leave its current block or
+        # run empty, or the batch is full; the left side wins ties. A ring
+        # over several blocks leaves its last block where it wraps, so its
+        # windows end there too. A ring that lies in one block (its `block`
+        # field) never leaves it: a window runs on across its wrap, head_run
+        # reading the side's records in two slices of the block's list and
+        # the out window writing them in two slice assignments.
         #
         # Exactness: per record, a window touches O S O S ... O (O the out
         # block, each S the block of the side the output before it consumed)
@@ -202,26 +223,7 @@ class _Merger:
                 L, li = (), 0
                 if lring.count:
                     mru = lring
-                    # the side's records up to its last one, at most what this
-                    # fill can still output, and for a ring over several
-                    # blocks up to the end of its block or of its region
-                    n = lring.count
-                    if want - ocount < n:
-                        n = want - ocount
-                    lb = lring.block
-                    if lb < 0:
-                        lb, off = divmod(lring.start + lring.head, rpb)
-                        if rpb - off < n:
-                            n = rpb - off
-                        if lring.cap - lring.head < n:
-                            n = lring.cap - lring.head
-                        L = touch(lb, False)[off : off + n]
-                    else:  # the region lies in block lb; k records precede its end
-                        data, off, k = touch(lb, False), lring.start + lring.head - lb * rpb, lring.cap - lring.head
-                        if n <= k:
-                            L = data[off : off + n]
-                        else:
-                            L = data[off : off + k] + data[off + k - lring.cap : off + n - lring.cap]
+                    lb, L = lring.head_run(touch, rpb, want - ocount)
             if R is None:
                 if rring.count == 0 and rprod is not None and not rprod.dry:
                     rprod.fill(vec)
@@ -229,23 +231,7 @@ class _Merger:
                 R, ri = (), 0
                 if rring.count:
                     mru = rring
-                    n = rring.count
-                    if want - ocount < n:
-                        n = want - ocount
-                    rb = rring.block
-                    if rb < 0:
-                        rb, off = divmod(rring.start + rring.head, rpb)
-                        if rpb - off < n:
-                            n = rpb - off
-                        if rring.cap - rring.head < n:
-                            n = rring.cap - rring.head
-                        R = touch(rb, False)[off : off + n]
-                    else:
-                        data, off, k = touch(rb, False), rring.start + rring.head - rb * rpb, rring.cap - rring.head
-                        if n <= k:
-                            R = data[off : off + n]
-                        else:
-                            R = data[off : off + k] + data[off + k - rring.cap : off + n - rring.cap]
+                    rb, R = rring.head_run(touch, rpb, want - ocount)
             t = want - ocount if wide else 1
             if oblock < 0:
                 ob, off = divmod(ostart + opos, rpb)
@@ -409,21 +395,10 @@ class FunnelHeap:
         # the shifted tail mirror[pos:] in at most two runs, the ring's order:
         # mirror[split:] wraps round to the start of the ring's region
         split = I.cap - I.head
-        b = I.block
-        if b < 0:
-            if pos < split:
-                vec.write_run2(I.start + I.head + pos, mirror[pos:split])
-            if I.count > split:
-                vec.write_run2(I.start + max(pos - split, 0), mirror[max(pos, split) :])
-        else:
-            # the region lies in block b, so one dirty touch charges like the
-            # runs (at least one is non-empty); lo is the region's first slot
-            data = vec.touch(b, True)
-            lo = I.start - b * self._rpb
-            if pos < split:
-                data[lo + I.head + pos : lo + I.head + min(I.count, split)] = mirror[pos:split]
-            if I.count > split:
-                data[lo + max(pos - split, 0) : lo + I.count - split] = mirror[max(pos, split) :]
+        if pos < split:
+            vec.write_run2(I.start + I.head + pos, mirror[pos:split])
+        if I.count > split:
+            vec.write_run2(I.start + max(pos - split, 0), mirror[max(pos, split) :])
         self._n += 1
 
     def find_min(self) -> tuple[int, int] | None:

@@ -6,15 +6,15 @@ per priority queue.
   in a second vector, and vertex states come from the output distance array
   (settled) and the position array (in-heap).
 - funnel: the funnel heap has no decrease-key, so every relaxation inserts a
-  fresh entry and an internal-memory bit vector discards stale pops. The
-  heap can hold O(E) entries rather than O(V).
+  fresh entry, and the output distance array (settled), as in binary,
+  discards stale pops. The heap can hold O(E) entries rather than O(V).
 - bucket: decrease-only Update replaces insert/decrease-key, but a settled
   vertex can be re-inserted by a later relaxation. A second (guard) heap
   receives one entry per relaxed arc; popping a guard deletes its source
   vertex from the main heap, so every spurious re-insertion dies before it
   can surface. Guards at the extraction key are applied both before the
   extraction and again after its relaxations, which covers both tie cases.
-  No bit vector is used.
+  No pop is stale, so none is dropped.
 
 Distances are exact integers; unreachable vertices are reported as None.
 """
@@ -136,23 +136,21 @@ def sssp_funnel(
     n = eg.vertex_count
     h = FunnelHeap(pq_cache_bytes, block_bytes)
     insert = h.insert
-    visited = bytearray(n)  # internal memory only: zero simulated transfers
     dist: list[int | None] = [None] * n
     order: list[int] = []
     insert(source, 0)
     inserts = peak = 1
     while len(h):
         v, d = h.delete_min()
-        if visited[v]:
+        if dist[v] is not None:
             continue  # stale duplicate of an already-settled vertex
-        visited[v] = 1
         dist[v] = d
         order.append(v)
         if deadline is not None and not len(order) & 1023 and time.monotonic() > deadline:
             raise BenchTimeout(_result(dist, order, eg, h.vectors(), peak_heap_entries=peak, heap_inserts=inserts))
         for arc in eg.arcs(*eg.arc_range(v)):
             t = arc >> 64
-            if not visited[t]:
+            if dist[t] is None:
                 insert(t, d + (arc & MASK64))
                 inserts += 1
         # the heap only grows while v's arcs relax

@@ -85,6 +85,18 @@ class TestRunners:
         rows = run_pq_bench("bucket", sizes=[1 << 14], cache_bytes=1 * MB, seed=0, reps=1, timeout_secs=0.0)
         assert rows[0].wall_seconds == "timeout"
 
+    @pytest.mark.parametrize("timeout", [float("nan"), -1.0])
+    def test_timeout_that_cannot_pass_is_rejected(self, timeout):
+        # a NaN deadline never passes, so it would run unbounded, not time out
+        g = gen_gnp(GnpSpec(n=16, seed=0))
+        for runner in (
+            lambda: run_pq_bench("funnel", sizes=[16], reps=1, timeout_secs=timeout),
+            lambda: run_sssp_bench("funnel", [(16, g)], reps=1, timeout_secs=timeout),
+            lambda: mem_sweep("funnel", 16, [1 * MB], reps=1, timeout_secs=timeout),
+        ):
+            with pytest.raises(ValueError, match="timeout_secs must be at least 0"):
+                runner()
+
     @pytest.mark.parametrize("heap", ["binary", "funnel", "bucket"])
     def test_sssp_timeout_row_flagged(self, heap):
         # the run stops at 1,024 settled vertices and its row keeps their counts
@@ -247,6 +259,23 @@ class TestCli:
             ("pq-bench", "--heap", "funnel", "--sizes", "16", "--reps", "1", "--cache-mb", "nan"),
             ("mem-sweep", "--heap", "funnel", "--n", "16", "--cache-mb-list", "inf", "--reps", "1"),
             ("mem-sweep", "--heap", "funnel", "--n", "16", "--cache-mb-list", "1 nan", "--reps", "1"),
+            # an empty list is an error, not the default grid; the zero timeout
+            # would end such a grid at its first run
+            ("pq-bench", "--heap", "funnel", "--sizes", "", "--reps", "1", "--timeout-secs", "0"),
+            ("pq-bench", "--heap", "funnel", "--sizes", " ", "--reps", "1", "--timeout-secs", "0"),
+            ("sssp-bench", "--heap", "funnel", "--gnp-sizes", "", "--reps", "1", "--timeout-secs", "0"),
+            ("sssp-bench", "--heap", "funnel", "--dimacs", "--reps", "1", "--timeout-secs", "0"),
+            ("mem-sweep", "--heap", "funnel", "--n", "16", "--cache-mb-list", "", "--reps", "1", "--timeout-secs", "0"),
+            ("gen-graph", "--config", "unknown.cfg", "--out", "g.gr"),
+            ("gen-graph", "--config", "junk.cfg", "--out", "g.gr"),
+            ("gen-graph", "--out", "g.gr"),
+            ("gen-graph", "--n", "0", "--out", "g.gr"),
+            ("verify", "--heap", "funnel"),
+            ("verify", "--heap", "funnel", "--gnp-n", "0"),
+            ("pq-bench", "--heap", "funnel", "--sizes", "4096", "--reps", "1", "--timeout-secs", "nan"),
+            ("pq-bench", "--heap", "funnel", "--sizes", "16", "--reps", "1", "--timeout-secs", "-1"),
+            ("sssp-bench", "--heap", "funnel", "--gnp-sizes", "64", "--reps", "1", "--timeout-secs", "nan"),
+            ("mem-sweep", "--heap", "funnel", "--n", "16", "--cache-mb-list", "1", "--timeout-secs", "nan"),
         ],
         ids=[
             "reps-0",
@@ -263,10 +292,27 @@ class TestCli:
             "pq-bench-cache-mb-nan",
             "mem-sweep-cache-mb-list-inf",
             "mem-sweep-cache-mb-list-nan",
+            "pq-bench-sizes-empty",
+            "pq-bench-sizes-blank",
+            "sssp-bench-gnp-sizes-empty",
+            "sssp-bench-dimacs-no-file",
+            "mem-sweep-cache-mb-list-empty",
+            "gen-graph-config-unknown-key",
+            "gen-graph-config-value-not-a-number",
+            "gen-graph-no-n",
+            "gen-graph-zero-n",
+            "verify-no-graph",
+            "verify-zero-gnp-n",
+            "pq-bench-timeout-nan",
+            "pq-bench-timeout-negative",
+            "sssp-bench-timeout-nan",
+            "mem-sweep-timeout-nan",
         ],
     )
     def test_bad_values_exit_2_with_one_error_line(self, args, capsys, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
+        (tmp_path / "unknown.cfg").write_text("n=8 q=3\n")
+        (tmp_path / "junk.cfg").write_text("n=eight\n")
         with pytest.raises(SystemExit) as exit_:
             main(list(args))
         assert exit_.value.code == 2
@@ -274,6 +320,26 @@ class TestCli:
         assert [line for line in err.splitlines() if line.startswith("copq: error: ")] == [err.splitlines()[-1]]
         assert "Traceback" not in err and out == ""
         assert not (tmp_path / "g.gr").exists()
+
+    @pytest.mark.parametrize(
+        "args,message",
+        [
+            (("gen-graph", "--n", "0", "--out", "g.gr"), "n must be at least 1"),
+            (("verify", "--heap", "funnel", "--gnp-n", "0"), "n must be at least 1"),
+            (
+                ("gen-graph", "--config", "g.cfg", "--out", "g.gr"),
+                "g.cfg: bad config entry 'q=3' (want n|p|wmax|seed=value)",
+            ),
+        ],
+        ids=["gen-graph-zero-n", "verify-zero-gnp-n", "gen-graph-config-unknown-key"],
+    )
+    def test_usage_error_says_what_is_wrong(self, args, message, capsys, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "g.cfg").write_text("n=8, q=3\n")
+        with pytest.raises(SystemExit) as exit_:
+            main(list(args))
+        assert exit_.value.code == 2
+        assert capsys.readouterr().err.splitlines()[-1] == f"copq: error: {message}"
 
     @pytest.mark.parametrize(
         "cmd,flag,text",

@@ -2,8 +2,8 @@ import random
 
 import pytest
 
-from copq.funnel_heap import FunnelHeap, _Merger, _link_params
-from copq.emcore import MB
+from copq.funnel_heap import FunnelHeap, _Merger, _Ring, _link_params
+from copq.emcore import MB, BlockVector, EmConfig
 from copq.graphs import GnpSpec, gen_gnp
 from copq.sssp import sssp_funnel
 
@@ -221,6 +221,63 @@ class TestOracle:
             for _ in range(drain):
                 assert h.delete_min() == oracle.delete_min()
             h.check_invariants()
+
+
+def _ring_at(rpb, start, cap, head, count):
+    """A ring over records start..start+cap-1 of a cold vector of 16-byte
+    records, rpb to a block, whose record i is 100 + i."""
+    vec = BlockVector(EmConfig(4 * rpb * 16, rpb * 16, 16))
+    vec.extend(3 * rpb)
+    vec.write_run2(0, [100 + i for i in range(3 * rpb)])
+    vec.drop_cache()
+    vec.reset_stats()
+    ring = _Ring(start, cap, rpb)
+    ring.head, ring.count = head, count
+    return vec, ring
+
+
+class TestHeadRun:
+    """_Ring.head_run: the head's block and, from one clean touch of it, the
+    records from the head on in ring order, clamped to n and the count, and
+    for a ring over several blocks to its block's end and its region's end."""
+
+    def read(self, vec, ring, n):
+        got = ring.head_run(vec.touch, vec.config.records_per_block, n)
+        # one clean touch, of the block returned: one cold read, not dirty
+        assert vec.stats().block_reads == 1 and vec.peek_lru() == [(got[0], False)]
+        return got
+
+    def test_one_block_ring_reads_across_its_wrap(self):
+        # slots 2..6 of block 0; ring positions 3, 4 then 0, 1 after the wrap
+        vec, ring = _ring_at(8, 2, 5, 3, 4)
+        assert ring.block == 0
+        assert self.read(vec, ring, 10) == (0, [105, 106, 102, 103])
+
+    def test_one_block_ring_clamped_to_n(self):
+        vec, ring = _ring_at(8, 2, 5, 3, 4)
+        assert self.read(vec, ring, 3) == (0, [105, 106, 102])
+        vec, ring = _ring_at(8, 2, 5, 3, 4)
+        assert self.read(vec, ring, 2) == (0, [105, 106])
+
+    def test_multi_block_ring_stops_at_its_blocks_end(self):
+        # slots 2..10 over blocks 0, 1 and 2 of 4 records each
+        vec, ring = _ring_at(4, 2, 9, 1, 7)
+        assert ring.block == -1
+        assert self.read(vec, ring, 10) == (0, [103])
+        vec, ring = _ring_at(4, 2, 9, 2, 7)
+        assert self.read(vec, ring, 10) == (1, [104, 105, 106, 107])
+
+    def test_multi_block_ring_stops_at_its_regions_end(self):
+        # the head at slot 9; the region ends at slot 10, its block at 11,
+        # and the ring's last two records wrap to slots 2 and 3
+        vec, ring = _ring_at(4, 2, 9, 7, 4)
+        assert self.read(vec, ring, 10) == (2, [109, 110])
+
+    def test_multi_block_ring_clamped_to_n_and_count(self):
+        vec, ring = _ring_at(4, 2, 9, 2, 7)
+        assert self.read(vec, ring, 2) == (1, [104, 105])
+        vec, ring = _ring_at(4, 2, 9, 2, 3)
+        assert self.read(vec, ring, 10) == (1, [104, 105, 106])
 
 
 def _counted_trace(seed, block, frames, ops=6000):
