@@ -183,9 +183,11 @@ class BinaryHeap:
         pos.put2(item & MASK64, i + 1)
 
     def check_invariants(self) -> None:
-        """Full-scan heap order + position consistency (test mode; stat-free)."""
+        """Full-scan heap order + position consistency (test mode; stat-free).
+        Positions are read one live id at a time: ids reach 2^64 - 1."""
+        recs = self.heap.peek_run2(0, self._n)
         for i in range(1, self._n):
-            assert self.heap.peek2((i - 1) >> 1) <= self.heap.peek2(i), f"heap order broken at slot {i}"
-        for i in range(self._n):
-            ident = self.heap.peek2(i) & MASK64
-            assert self.positions.peek2(ident) == i + 1, f"position of id {ident} wrong"
+            assert recs[(i - 1) >> 1] <= recs[i], f"heap order broken at slot {i}"
+        for i, rec in enumerate(recs):
+            ident = rec & MASK64
+            assert self.positions.peek_run2(ident, ident + 1) == [i + 1], f"position of id {ident} wrong"

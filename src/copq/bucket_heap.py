@@ -282,8 +282,7 @@ class BucketHeap:
         for lv in self._levels:
             assert 0 <= lv.bcount <= lv.bcap, f"bucket occupancy out of range at level {lv.num}"
             prev = None
-            for b in range(lv.bcount):
-                rec = self.vector.peek2(lv.bstart + lv.bhead + b)
+            for rec in self.vector.peek_run2(lv.bstart + lv.bhead, lv.bstart + lv.bhead + lv.bcount):
                 assert rec >> 64 <= lv.splitter, f"key above splitter at level {lv.num}"
                 if prev is not None:
                     assert prev <= rec, f"bucket unsorted at level {lv.num}"
@@ -306,8 +305,7 @@ class BucketHeap:
             li += 1
         out: dict[int, int] = {}
         for lv in self._levels:
-            for b in range(lv.bcount):
-                rec = self.vector.peek2(lv.bstart + lv.bhead + b)
+            for rec in self.vector.peek_run2(lv.bstart + lv.bhead, lv.bstart + lv.bhead + lv.bcount):
                 ident = rec & MASK64
                 assert ident not in out, f"id {ident} live in two buckets after resolution"
                 out[ident] = rec >> 64

@@ -198,7 +198,11 @@ def main(argv: list[str] | None = None) -> int:
 
     if args.reps < 1:
         ap.error(f"--reps must be at least 1, got {args.reps}")
+    if args.timeout_secs is not None and not args.timeout_secs >= 0:
+        ap.error(f"--timeout-secs must be at least 0, got {args.timeout_secs}")
     if args.cmd == "mem-sweep":
+        if args.n < 1:
+            ap.error(f"--n must be at least 1, got {args.n}")
         caches = MEM_SWEEP_CACHES
         if args.cache_mb_list is not None:
             listed = checked(_parse_list, "--cache-mb-list", args.cache_mb_list, float)

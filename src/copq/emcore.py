@@ -27,11 +27,13 @@ skips it (it cannot change LRU order or fault counts) and only sets the
 dirty flag on a write. The run accessors ``read_run2``/``write_run2`` move a
 contiguous range of records at once, one list slice per block: they touch
 each block of the range once, in ascending order, and count exactly like the
-per-record ``get2``/``put2`` loop over the same range. A non-empty run inside
-one block takes one range check, one block check and one slice; an empty run
-touches nothing. ``peek_run2`` is the stat-free run form of ``peek2``, and
-``peek_lru`` the stat-free view of the cache: the resident blocks and their
-dirty flags in LRU order.
+per-record ``get2``/``put2`` loop over the same range. Each takes one path:
+it checks the range, returns from an empty run before any touch, switches
+to its head block (or dirties it) once, moves a run that ends there as one
+slice, and walks on with one ``_switch`` per later block. ``peek_run2``
+reads a run in the same steps without touching anything; with ``peek_lru``,
+the stat-free view of the cache (the resident blocks and their dirty flags
+in LRU order), it is how invariant checkers read a vector.
 
 ``touch(b, dirty)`` charges one ``get2`` (``dirty`` false) or ``put2``
 (``dirty`` true) of a record in block b and returns that block's live record
@@ -290,26 +292,23 @@ class BlockVector:
         get2 over the range, but visits each block once."""
         if not 0 <= lo <= hi <= self._length:
             raise IndexError(f"record run [{lo}, {hi}) out of range [0, {self._length})")
-        rpb = self._rpb
+        if lo == hi:
+            return []
+        rpb, n = self._rpb, hi - lo
         b = lo // rpb
-        if lo < hi <= (b + 1) * rpb:  # a non-empty run inside one block
-            if b != self._last_block:
-                self._switch(b, False)
-            off = lo - b * rpb
-            return self._last_data[off : off + hi - lo]
-        out: list[int] = []
-        i = lo
-        while i < hi:
-            b = i // rpb
-            end = (b + 1) * rpb
-            if end > hi:
-                end = hi
-            if b != self._last_block:
-                self._switch(b, False)
-            off = i - b * rpb
-            out += self._last_data[off : off + end - i]
-            i = end
-        return out
+        if b != self._last_block:
+            self._switch(b, False)
+        off = lo - b * rpb
+        if n <= rpb - off:  # the run ends in its head block
+            return self._last_data[off : off + n]
+        out = self._last_data[off:]
+        while True:  # the run goes on into block b + 1
+            b += 1
+            self._switch(b, False)
+            if n - len(out) <= rpb:
+                out += self._last_data[: n - len(out)]
+                return out
+            out += self._last_data
 
     def write_run2(self, lo: int, recs: list[int]) -> None:
         """Store recs at records lo, lo+1, ... Touches, dirties and counts
@@ -318,65 +317,54 @@ class BlockVector:
         hi = lo + len(recs)
         if not 0 <= lo <= hi <= self._length:
             raise IndexError(f"record run [{lo}, {hi}) out of range [0, {self._length})")
-        rpb = self._rpb
-        b = lo // rpb
-        if lo < hi <= (b + 1) * rpb:  # a non-empty run inside one block
-            if b != self._last_block:
-                self._switch(b, True)
-            else:
-                self._resident[b] = True
-            off = lo - b * rpb
-            self._last_data[off : off + hi - lo] = recs
+        if lo == hi:
             return
-        i = lo
-        while i < hi:
-            b = i // rpb
-            end = (b + 1) * rpb
-            if end > hi:
-                end = hi
-            if b != self._last_block:
-                self._switch(b, True)
-            else:
-                self._resident[b] = True
-            off = i - b * rpb
-            self._last_data[off : off + end - i] = recs[i - lo : end - lo]
-            i = end
-
-    def push2(self, rec: int) -> None:
-        """Append the record rec."""
-        self._length += 1
-        self.put2(self._length - 1, rec)
-
-    def peek2(self, i: int) -> int:
-        """Stat-free read for invariant checkers; never faults, never counts."""
-        data = self._blocks.get(i // self._rpb)
-        return 0 if data is None else data[i % self._rpb]
+        rpb, n = self._rpb, hi - lo
+        b = lo // rpb
+        if b != self._last_block:
+            self._switch(b, True)
+        else:
+            self._resident[b] = True
+        off = lo - b * rpb
+        if n <= rpb - off:  # the run ends in its head block
+            self._last_data[off : off + n] = recs
+            return
+        i = rpb - off  # records stored so far
+        self._last_data[off:] = recs[:i]
+        while True:  # the run goes on into block b + 1
+            b += 1
+            self._switch(b, True)
+            if n - i <= rpb:
+                self._last_data[: n - i] = recs[i:]
+                return
+            self._last_data[:] = recs[i : i + rpb]
+            i += rpb
 
     def peek_run2(self, lo: int, hi: int) -> list[int]:
-        """Records lo..hi-1, in a new list: the run form of peek2. Never
-        faults, never counts, leaves the LRU order alone."""
+        """Records lo..hi-1, in a new list, read in read_run2's steps but
+        stat-free: never faults, never counts, leaves the LRU order alone."""
         if not 0 <= lo <= hi <= self._length:
             raise IndexError(f"record run [{lo}, {hi}) out of range [0, {self._length})")
-        rpb = self._rpb
-        out: list[int] = []
-        i = lo
-        while i < hi:
-            b = i // rpb
-            end = (b + 1) * rpb
-            if end > hi:
-                end = hi
-            data = self._blocks.get(b)
-            if data is None:
-                out += [0] * (end - i)
-            else:
-                off = i - b * rpb
-                out += data[off : off + end - i]
-            i = end
-        return out
+        if lo == hi:
+            return []
+        rpb, n = self._rpb, hi - lo
+        b = lo // rpb
+        data = self._blocks.get(b) or [0] * rpb  # no list yet or any more: zeros
+        off = lo - b * rpb
+        if n <= rpb - off:  # the run ends in its head block
+            return data[off : off + n]
+        out = data[off:]
+        while True:  # the run goes on into block b + 1
+            b += 1
+            data = self._blocks.get(b) or [0] * rpb
+            if n - len(out) <= rpb:
+                out += data[: n - len(out)]
+                return out
+            out += data
 
     def peek_lru(self) -> list[tuple[int, bool]]:
         """The resident blocks as (block, dirty) pairs, least recently used
-        first: the cache state the counters follow. Stat-free, like peek2."""
+        first: the cache state the counters follow. Stat-free, like peek_run2."""
         return list(self._resident.items())
 
     # -- length management --------------------------------------------------------

@@ -330,8 +330,34 @@ class TestCli:
                 ("gen-graph", "--config", "g.cfg", "--out", "g.gr"),
                 "g.cfg: bad config entry 'q=3' (want n|p|wmax|seed=value)",
             ),
+            (("mem-sweep", "--heap", "funnel", "--n", "0", "--cache-mb-list", "1"), "--n must be at least 1, got 0"),
+            (
+                ("pq-bench", "--heap", "funnel", "--sizes", "16", "--timeout-secs", "nan"),
+                "--timeout-secs must be at least 0, got nan",
+            ),
+            (
+                ("pq-bench", "--heap", "funnel", "--sizes", "16", "--timeout-secs", "-1"),
+                "--timeout-secs must be at least 0, got -1.0",
+            ),
+            (
+                ("sssp-bench", "--heap", "bucket", "--gnp-sizes", "16", "--timeout-secs", "nan"),
+                "--timeout-secs must be at least 0, got nan",
+            ),
+            (
+                ("sssp-bench", "--heap", "bucket", "--gnp-sizes", "16", "--timeout-secs", "-1"),
+                "--timeout-secs must be at least 0, got -1.0",
+            ),
         ],
-        ids=["gen-graph-zero-n", "verify-zero-gnp-n", "gen-graph-config-unknown-key"],
+        ids=[
+            "gen-graph-zero-n",
+            "verify-zero-gnp-n",
+            "gen-graph-config-unknown-key",
+            "mem-sweep-zero-n",
+            "pq-bench-timeout-nan",
+            "pq-bench-timeout-negative",
+            "sssp-bench-timeout-nan",
+            "sssp-bench-timeout-negative",
+        ],
     )
     def test_usage_error_says_what_is_wrong(self, args, message, capsys, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)

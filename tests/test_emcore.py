@@ -110,21 +110,24 @@ class TestBasicSemantics:
 
     def test_push_then_flush_one_block_write(self):
         v = make()
+        v.extend(256)
         for i in range(256):
-            v.push2(i << 64 | i)
+            v.put2(i, i << 64 | i)
         v.flush()
         assert v.stats().block_writes == 1
 
     def test_flush_clears_dirty_only_once(self):
         v = make()
-        v.push2(1 << 64 | 2)
+        v.extend(1)
+        v.put2(0, 1 << 64 | 2)
         v.flush()
         v.flush()
         assert v.stats().block_writes == 1
 
     def test_reset_stats(self):
         v = make()
-        v.push2(1 << 64 | 2)
+        v.extend(1)
+        v.put2(0, 1 << 64 | 2)
         v.reset_stats()
         s = v.stats()
         assert (s.block_reads, s.block_writes, s.evictions) == (0, 0, 0)
@@ -178,8 +181,9 @@ class TestBasicSemantics:
         tracemalloc.start()
         try:
             v = make(cache=8 * 4096)
+            v.extend(nblocks * 256)
             for i in range(nblocks * 256):
-                v.push2(i << 64 | i + 1)
+                v.put2(i, i << 64 | i + 1)
             held = tracemalloc.get_traced_memory()[0]
             v.truncate(0)
             freed = held - tracemalloc.get_traced_memory()[0]
@@ -204,11 +208,12 @@ class TestArrayOracle:
             op = rng.random()
             if op < 0.35 or not oracle:
                 a, k = pair()
-                v.push2(a << 64 | k)
+                v.extend(1)
+                v.put2(len(oracle), a << 64 | k)
                 oracle.append(a << 64 | k)
             elif op < 0.55:
                 i = rng.randrange(len(oracle))
-                assert v.peek2(i) == oracle[i]  # first, while the block may be out of cache
+                assert v.peek_run2(i, i + 1) == [oracle[i]]  # first, while the block may be out of cache
                 assert v.get2(i) == oracle[i]
             elif op < 0.65:
                 i = rng.randrange(len(oracle))
@@ -223,6 +228,7 @@ class TestArrayOracle:
             elif op < 0.82:
                 lo = rng.randrange(len(oracle) + 1)
                 hi = rng.randint(lo, min(len(oracle), lo + 12))
+                assert v.peek_run2(lo, hi) == oracle[lo:hi]
                 assert v.read_run2(lo, hi) == oracle[lo:hi]
             elif op < 0.89:
                 lo = rng.randrange(len(oracle) + 1)
@@ -258,65 +264,105 @@ class TestArrayOracle:
 
 class TestRunAccessors:
     """read_run2/write_run2 against a twin vector that runs the same trace
-    as per-record get2/set2 calls: contents, counters and dirty flags agree."""
+    as per-record get2/put2 calls: contents, counters and dirty flags agree."""
 
-    def run_twin_trace(self, rng, steps):
-        # four records a block, three frames: runs of up to 12 records cross
-        # blocks, and the trace keeps about 10-40 records, so it evicts often
-        v, twin = make(cache=3 * 64, block=64, rec=16), make(cache=3 * 64, block=64, rec=16)
-        v.extend(8)
-        twin.extend(8)
-        last = 0  # last record index touched, to start runs on the last block
-        for _ in range(steps):
-            n = len(v)
-            op = rng.random()
-            if op < 0.6 and n:
-                if rng.random() < 0.5:
-                    lo = min(n, last // 4 * 4 + rng.randrange(4))
-                else:
-                    lo = rng.randrange(n + 1)
-                hi = rng.randint(lo, min(n, lo + 12))
-                if op < 0.3:
-                    got = v.read_run2(lo, hi)
-                    assert got == [twin.get2(i) for i in range(lo, hi)]
-                else:
-                    pairs = [(rng.getrandbits(64), rng.getrandbits(64)) for _ in range(hi - lo)]
-                    v.write_run2(lo, [a << 64 | k for a, k in pairs])
-                    for i, (a, k) in enumerate(pairs):
-                        twin.set2(lo + i, a, k)
-                if hi > lo:
-                    last = hi - 1
-            elif op < 0.75 and n:
-                last = rng.randrange(n)
-                assert v.get2(last) == twin.get2(last)
-            elif op < 0.88 and n:
-                last = rng.randrange(n)
-                a, k = rng.getrandbits(64), rng.getrandbits(64)
-                v.set2(last, a, k)
-                twin.set2(last, a, k)
-            elif op < 0.94:
-                m = rng.randrange(n + 1)
-                v.truncate(m)
-                twin.truncate(m)
-            else:
-                m = rng.randrange(12)
-                v.extend(m)
-                twin.extend(m)
-            assert v.stats() == twin.stats()
-            assert v.peek_lru() == twin.peek_lru()
-            assert [v.peek2(i) for i in range(len(v))] == [twin.peek2(i) for i in range(len(twin))]
+    # (lo, hi, write) on 20 records, four a block, three frames: runs from a
+    # block's first record or mid-block, to a block's end or the vector's,
+    # of one record or over three to five blocks, and empty runs on a block
+    # boundary and mid-block; a write after a read of its head block must
+    # dirty that block, which the read left last and clean
+    EDGE_RUNS = (
+        (0, 4, False), (2, 4, True), (4, 5, False), (5, 6, True), (7, 8, False),
+        (6, 8, False), (3, 9, True), (4, 16, False), (8, 8, False), (8, 8, True),
+        (10, 10, False), (13, 13, True), (16, 20, False), (18, 20, True),
+        (12, 13, False), (12, 16, True), (1, 19, True), (0, 20, False), (19, 20, False),
+        (17, 18, True), (0, 12, True), (9, 20, False), (15, 16, True), (20, 20, False),
+    )
+
+    def run_twin_trace(self, rec, ops):
+        """Run ops(v) on v and its twin, the runs record by record on the
+        twin, and compare counters, cache and records after every op."""
+        v, twin = (make(cache=3 * 4 * rec, block=4 * rec, rec=rec) for _ in range(2))
+        for op, x, y in ops(v):
+            if op == "read_run2":
+                assert v.read_run2(x, y) == [twin.get2(i) for i in range(x, y)]
+            elif op == "write_run2":
+                v.write_run2(x, y)
+                for i, r in enumerate(y):
+                    twin.put2(x + i, r)
+            elif op == "get2":
+                assert v.get2(x) == twin.get2(x)
+            elif op == "put2":
+                v.put2(x, y)
+                twin.put2(x, y)
+            else:  # extend or truncate
+                getattr(v, op)(x)
+                getattr(twin, op)(x)
+            assert v.stats() == twin.stats(), (op, x)
+            assert v.peek_lru() == twin.peek_lru(), (op, x)
+            assert v.peek_run2(0, len(v)) == twin.peek_run2(0, len(twin)), (op, x)
         v.drop_cache()
         twin.drop_cache()
         assert v.stats() == twin.stats()  # equal write-backs: equal dirty flags
 
+    @staticmethod
+    def random_ops(rng, steps):
+        # runs of up to 12 records cross blocks, and the trace keeps about
+        # 10-40 records, so it evicts often
+        def record():
+            return rng.getrandbits(64) << 64 | rng.getrandbits(64)
+
+        def ops(v):
+            yield "extend", 8, None
+            last = 0  # last record index touched, to start runs on the last block
+            for _ in range(steps):
+                n = len(v)
+                op = rng.random()
+                if op < 0.6 and n:
+                    if rng.random() < 0.5:
+                        lo = min(n, last // 4 * 4 + rng.randrange(4))
+                    else:
+                        lo = rng.randrange(n + 1)
+                    hi = rng.randint(lo, min(n, lo + 12))
+                    if op < 0.3:
+                        yield "read_run2", lo, hi
+                    else:
+                        yield "write_run2", lo, [record() for _ in range(hi - lo)]
+                    if hi > lo:
+                        last = hi - 1
+                elif op < 0.75 and n:
+                    last = rng.randrange(n)
+                    yield "get2", last, None
+                elif op < 0.88 and n:
+                    last = rng.randrange(n)
+                    yield "put2", last, record()
+                elif op < 0.94:
+                    yield "truncate", rng.randrange(n + 1), None
+                else:
+                    yield "extend", rng.randrange(12), None
+
+        return ops
+
     @pytest.mark.parametrize("seed", range(5))
     def test_runs_count_like_per_record_calls(self, seed):
-        self.run_twin_trace(random.Random(seed), 3000)
+        self.run_twin_trace(16, self.random_ops(random.Random(seed), 3000))
 
     @given(st.integers(0, 2**32))
     @settings(max_examples=25, deadline=None)
     def test_hypothesis_twin_traces(self, seed):
-        self.run_twin_trace(random.Random(seed), 300)
+        self.run_twin_trace(16, self.random_ops(random.Random(seed), 300))
+
+    @pytest.mark.parametrize("rec", [16, 8])
+    def test_edge_runs_count_like_per_record_calls(self, rec):
+        def ops(v):
+            yield "extend", 20, None
+            for step, (lo, hi, write) in enumerate(self.EDGE_RUNS):
+                if write:
+                    yield "write_run2", lo, [step << 8 | i for i in range(lo, hi)]
+                else:
+                    yield "read_run2", lo, hi
+
+        self.run_twin_trace(rec, ops)
 
     def test_empty_run_touches_nothing(self):
         v = make(cache=64, block=64, rec=16)  # one frame
@@ -339,7 +385,7 @@ class TestRunAccessors:
             with pytest.raises(IndexError):
                 v.write_run2(lo, [5 << 64 | 5] * n)
         assert v.stats() == before
-        assert [v.peek2(i) for i in range(8)] == [0] * 7 + [1 << 64 | 2]
+        assert v.peek_run2(0, 8) == [0] * 7 + [1 << 64 | 2]
 
     def test_runs_copy_records_in_and_out(self):
         # the vector keeps the records, never the caller's list, and hands
@@ -355,7 +401,7 @@ class TestRunAccessors:
         got.append(66)
         want = [i << 64 | i + 1 for i in range(10)]
         assert v.read_run2(0, 10) == want
-        assert [v.peek2(i) for i in range(10)] == want
+        assert v.peek_run2(0, 10) == want
         assert v.get(2) == struct.pack("<QQ", 2, 3)
         # and a run inside one block, which takes one slice
         one = [7, 8, 9]
@@ -376,22 +422,24 @@ class TestRunAccessors:
 
 
 class TestPeekRun:
-    """peek_run2 is the run form of peek2: a stat-free read that never
-    faults, counts, or moves a block in the LRU order."""
+    """peek_run2 is a stat-free read: it never faults, counts, or moves a
+    block in the LRU order."""
 
     def run_twin_trace(self, rng, steps):
-        # v runs its twin's trace with peek_run2 calls interleaved; four
-        # records a block and three frames, so the trace evicts often
+        # v runs its twin's trace with peek_run2 calls interleaved, checked
+        # against a plain list; four records a block and three frames, so
+        # the trace evicts often
         v, twin = make(cache=3 * 64, block=64, rec=16), make(cache=3 * 64, block=64, rec=16)
         v.extend(8)
         twin.extend(8)
+        oracle = [0] * 8
         for _ in range(steps):
             n = len(v)
             op = rng.random()
             if op < 0.3:
                 lo = rng.randrange(n + 1)
                 hi = rng.randint(lo, min(n, lo + 12))
-                assert v.peek_run2(lo, hi) == [twin.peek2(i) for i in range(lo, hi)]
+                assert v.peek_run2(lo, hi) == oracle[lo:hi]
             elif op < 0.55 and n:
                 i = rng.randrange(n)
                 assert v.get2(i) == twin.get2(i)
@@ -400,14 +448,17 @@ class TestPeekRun:
                 rec = rng.getrandbits(64) << 64 | rng.getrandbits(64)
                 v.put2(i, rec)
                 twin.put2(i, rec)
+                oracle[i] = rec
             elif op < 0.9:
                 m = rng.randrange(n + 1)
                 v.truncate(m)
                 twin.truncate(m)
+                del oracle[m:]
             else:
                 m = rng.randrange(12)
                 v.extend(m)
                 twin.extend(m)
+                oracle += [0] * m
             assert v.stats() == twin.stats()
             assert v.peek_lru() == twin.peek_lru()
         # equal LRU order: touching one record a block, last block first,

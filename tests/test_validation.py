@@ -34,7 +34,7 @@ def rejected(call, *args):
 
 
 def binary_contents(h):
-    return {rec & MASK64: rec >> 64 for rec in map(h.heap.peek2, range(len(h)))}
+    return {rec & MASK64: rec >> 64 for rec in h.heap.peek_run2(0, len(h))}
 
 
 @given(trace(7))
