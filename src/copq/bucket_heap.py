@@ -35,9 +35,9 @@ def signal_capacity(level: int) -> int:
 
 
 class _Level:
-    __slots__ = ("num", "bstart", "bcap", "bhead", "bcount", "sstart", "sroom", "scap", "scount", "splitter", "block")
+    __slots__ = ("num", "bstart", "bcap", "bhead", "bcount", "sstart", "sroom", "scap", "scount", "splitter")
 
-    def __init__(self, num: int, bstart: int, rpb: int):
+    def __init__(self, num: int, bstart: int):
         self.num = num
         self.bstart = bstart
         self.bcap = bucket_capacity(num)
@@ -48,9 +48,6 @@ class _Level:
         self.sroom = 2 * self.scap + 8
         self.scount = 0
         self.splitter = INF
-        # the block holding the whole level [bstart, sstart + sroom), else -1
-        b = bstart // rpb
-        self.block = b if (self.sstart + self.sroom - 1) // rpb == b else -1
 
 
 class BucketHeap:
@@ -60,7 +57,6 @@ class BucketHeap:
         block_bytes: int = DEFAULT_BLOCK_BYTES,
     ):
         self.vector = BlockVector(EmConfig(cache_bytes, block_bytes, 16))
-        self._rpb = self.vector.config.records_per_block
         self._levels: list[_Level] = []
         self.stored = 0  # total records held (bucket elements + pending signals)
         self._min = _STALE  # find_min's answer, kept until the next operation
@@ -142,7 +138,7 @@ class BucketHeap:
             self._flush(0)
 
     def _add_level(self) -> None:
-        lv = _Level(len(self._levels) + 1, len(self.vector), self._rpb)
+        lv = _Level(len(self._levels) + 1, len(self.vector))
         self.vector.extend(lv.bcap + lv.sroom)
         self._levels.append(lv)
 
@@ -151,12 +147,9 @@ class BucketHeap:
         leftovers (and overflow) down to level li+1.
 
         It reads the signals, then the bucket, writes the bucket back from
-        bstart, then appends the forwarded signals to level li+1: runs that
-        count like read_run2/write_run2. A level that lies in one block b is
-        charged by touch instead: the signal run is never empty, so its read
-        touches b first, and every later run that stays in b only sets the
-        dirty flag. An empty run touches nothing, so an empty bucket is
-        neither read nor written."""
+        bstart, then appends the forwarded signals to level li+1, each as one
+        read_run2/write_run2 run; the counts depend on that order. An empty
+        run touches nothing, so an empty bucket is neither read nor written."""
         levels = self._levels
         lv = levels[li]
         vec = self.vector
@@ -164,15 +157,8 @@ class BucketHeap:
         bcount = lv.bcount
         lv.scount = 0
         lo = lv.bstart + lv.bhead
-        b = lv.block
-        if b >= 0:
-            data = vec.touch(b, False)
-            base = b * self._rpb
-            signals = data[lv.sstart - base : lv.sstart - base + n]
-            bucket = data[lo - base : lo - base + bcount]
-        else:
-            signals = vec.read_run2(lv.sstart, lv.sstart + n)
-            bucket = vec.read_run2(lo, lo + bcount)
+        signals = vec.read_run2(lv.sstart, lv.sstart + n)
+        bucket = vec.read_run2(lo, lo + bcount)
         deepest = li == len(levels) - 1
         limit = lv.splitter << 64 | MASK64  # the largest record the bucket accepts
         # An inert batch passes whole: every signal lies above limit (so the
@@ -190,9 +176,6 @@ class BucketHeap:
             get, pop = d.get, d.pop
             out = []  # signals for the next level
             put = out.append
-            # d holds the sorted bucket in order and deletes keep that order; only
-            # a lowered record or a new id can leave d.values() out of order
-            resort = False
             for sig in signals:
                 sid = sig & MASK64
                 if sig >= DELETE:
@@ -203,16 +186,14 @@ class BucketHeap:
                     if cur is not None:
                         if sig < cur:
                             d[sid] = sig
-                            resort = True
                     elif sig <= limit:
                         d[sid] = sig
-                        resort = True
                         if not deepest:
                             # chase a possible stale copy of sid in deeper levels
                             put(DELETE | sid)
                     else:
                         put(sig)
-            items = sorted(d.values()) if resort else list(d.values())
+            items = sorted(d.values())
             if len(items) > lv.bcap:
                 out.extend(items[lv.bcap :])
                 del items[lv.bcap :]
@@ -220,31 +201,18 @@ class BucketHeap:
             self.stored += len(items) + len(out) - n - bcount
         lv.bhead = 0
         lv.bcount = len(items)
+        if items:
+            vec.write_run2(lv.bstart, items)
         if out:
             if li + 1 == len(levels):
                 self._add_level()
             nxt = levels[li + 1]
             if nxt.scount + len(out) > nxt.sroom:
                 raise AssertionError(f"signal region overflow at level {nxt.num}")
-            at = nxt.sstart + nxt.scount
+            vec.write_run2(nxt.sstart + nxt.scount, out)
             nxt.scount += len(out)
-        if b < 0:
-            if items:
-                vec.write_run2(lv.bstart, items)
-            if out:
-                vec.write_run2(at, out)
-        else:
-            # out lands in b when its last record does: it starts past bstart
-            into_b = out and (at + len(out) - 1) // self._rpb == b
-            if items or into_b:
-                vec.touch(b, True)
-                data[lv.bstart - base : lv.bstart - base + len(items)] = items
-            if into_b:
-                data[at - base : at - base + len(out)] = out
-            elif out:
-                vec.write_run2(at, out)
-        if out and nxt.scount > nxt.scap:
-            self._flush(li + 1)
+            if nxt.scount > nxt.scap:
+                self._flush(li + 1)
 
     def _refill(self, j: int) -> None:
         """Migrate the smallest elements of level j up into levels 0..j-1,

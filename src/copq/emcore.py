@@ -39,10 +39,7 @@ in LRU order), it is how invariant checkers read a vector.
 (``dirty`` true) of a record in block b and returns that block's live record
 list, for callers that move records by list operations and charge the
 blocks themselves: the funnel heap's merge and the binary heap's sifts,
-both below; the bucket heap's flush of a level that lies in one block (a
-clean touch before the reads, a dirty one before the writes that stay in
-the block: the runs it replaces touch that block alone); and
-``ExternalGraph.source_of_arc``.
+both below, and ``ExternalGraph.source_of_arc``.
 
 The window rule, a property of each vector's LRU cache: take a stretch of
 consecutive touches whose distinct blocks fit the frames. No block of the

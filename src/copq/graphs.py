@@ -14,6 +14,7 @@ from array import array
 from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import accumulate, chain, islice, repeat
+from numbers import Real
 from operator import index, le, sub
 
 from .emcore import BlockVector, EmConfig, DEFAULT_BLOCK_BYTES, DEFAULT_CACHE_BYTES, MASK64
@@ -137,6 +138,9 @@ class GnpSpec:
         if self.p is None:
             # default density; a complete graph once n is too small for it
             self.p = min(1.0, 16.0 / (self.n - 1)) if self.n > 1 else 0.0
+        elif not isinstance(self.p, Real):
+            raise ValueError(f"p must be a real number, got {self.p!r}")
+        self.p = float(self.p)
         if not 0.0 <= self.p <= 1.0:
             raise ValueError(f"p must be in [0,1], got {self.p}")
         if self.weight_max < 1:

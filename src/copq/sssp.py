@@ -6,8 +6,8 @@ per priority queue.
   in a second vector, and vertex states come from the output distance array
   (settled) and the position array (in-heap).
 - funnel: the funnel heap has no decrease-key, so every relaxation inserts a
-  fresh entry, and the output distance array (settled), as in binary,
-  discards stale pops. The heap can hold O(E) entries rather than O(V).
+  fresh entry, and the output distance array (settled) discards stale pops.
+  The heap can hold O(E) entries rather than O(V).
 - bucket: decrease-only Update replaces insert/decrease-key, but a settled
   vertex can be re-inserted by a later relaxation. A second (guard) heap
   receives one entry per relaxed arc; popping a guard deletes its source
@@ -15,6 +15,9 @@ per priority queue.
   can surface. Guards at the extraction key are applied both before the
   extraction and again after its relaxations, which covers both tie cases.
   No pop is stale, so none is dropped.
+
+Binary and funnel run one shared loop and differ only in the relax call,
+update or insert.
 
 Distances are exact integers; unreachable vertices are reported as None.
 """
@@ -92,6 +95,38 @@ def _result(dist, order, eg: ExternalGraph, pq: dict[str, BlockVector], **counte
     return DistanceResult(dist, order, stats=stats, **counters)
 
 
+def _dijkstra(eg: ExternalGraph, source: int, h, relax, deadline: float | None, count_inserts: bool) -> DistanceResult:
+    """The loop binary and funnel share. relax(t, key) is the heap's update or
+    insert; a pop of a settled vertex is stale and dropped (only the funnel
+    heap, which keeps every insert, makes one). Every funnel insert is popped
+    or still held, so heap_inserts is the pops plus len(h), counted when
+    count_inserts is set (the funnel run); the binary run reports 0."""
+    dist: list[int | None] = [None] * eg.vertex_count
+    order: list[int] = []
+    relax(source, 0)
+    peak = 1
+    stale = 0
+    while len(h):
+        v, d = h.delete_min()
+        if dist[v] is not None:
+            stale += 1
+            continue
+        dist[v] = d
+        order.append(v)
+        if deadline is not None and not len(order) & 1023 and time.monotonic() > deadline:
+            inserts = len(order) + stale + len(h) if count_inserts else 0
+            raise BenchTimeout(_result(dist, order, eg, h.vectors(), peak_heap_entries=peak, heap_inserts=inserts))
+        for arc in eg.arcs(*eg.arc_range(v)):
+            t = arc >> 64
+            if dist[t] is None:
+                relax(t, d + (arc & MASK64))
+        # the heap only grows while v's arcs relax
+        if len(h) > peak:
+            peak = len(h)
+    inserts = len(order) + stale if count_inserts else 0
+    return _result(dist, order, eg, h.vectors(), peak_heap_entries=peak, heap_inserts=inserts)
+
+
 def sssp_binary(
     g,
     source: int,
@@ -101,27 +136,8 @@ def sssp_binary(
     deadline: float | None = None,
 ) -> DistanceResult:
     eg = _prepare(g, source, graph_cache_bytes, block_bytes)
-    n = eg.vertex_count
     h = BinaryHeap(pq_cache_bytes, block_bytes)
-    update = h.update
-    dist: list[int | None] = [None] * n
-    order: list[int] = []
-    peak = 0
-    h.insert(source, 0)
-    while len(h):
-        v, d = h.delete_min()
-        dist[v] = d
-        order.append(v)
-        if deadline is not None and not len(order) & 1023 and time.monotonic() > deadline:
-            raise BenchTimeout(_result(dist, order, eg, h.vectors(), peak_heap_entries=peak))
-        for arc in eg.arcs(*eg.arc_range(v)):
-            t = arc >> 64
-            if dist[t] is None:
-                update(t, d + (arc & MASK64))
-        # the heap only grows while v's arcs relax
-        if len(h) > peak:
-            peak = len(h)
-    return _result(dist, order, eg, h.vectors(), peak_heap_entries=peak)
+    return _dijkstra(eg, source, h, h.update, deadline, False)
 
 
 def sssp_funnel(
@@ -133,30 +149,8 @@ def sssp_funnel(
     deadline: float | None = None,
 ) -> DistanceResult:
     eg = _prepare(g, source, graph_cache_bytes, block_bytes)
-    n = eg.vertex_count
     h = FunnelHeap(pq_cache_bytes, block_bytes)
-    insert = h.insert
-    dist: list[int | None] = [None] * n
-    order: list[int] = []
-    insert(source, 0)
-    inserts = peak = 1
-    while len(h):
-        v, d = h.delete_min()
-        if dist[v] is not None:
-            continue  # stale duplicate of an already-settled vertex
-        dist[v] = d
-        order.append(v)
-        if deadline is not None and not len(order) & 1023 and time.monotonic() > deadline:
-            raise BenchTimeout(_result(dist, order, eg, h.vectors(), peak_heap_entries=peak, heap_inserts=inserts))
-        for arc in eg.arcs(*eg.arc_range(v)):
-            t = arc >> 64
-            if dist[t] is None:
-                insert(t, d + (arc & MASK64))
-                inserts += 1
-        # the heap only grows while v's arcs relax
-        if len(h) > peak:
-            peak = len(h)
-    return _result(dist, order, eg, h.vectors(), peak_heap_entries=peak, heap_inserts=inserts)
+    return _dijkstra(eg, source, h, h.insert, deadline, True)
 
 
 def sssp_bucket(
@@ -176,7 +170,7 @@ def sssp_bucket(
     vectors = {"main": main.vector, "guard": guard.vector}
     dist: list[int | None] = [None] * n
     order: list[int] = []
-    peak = 0
+    peak = 1  # main holds the source
     deletes = 0
     kills = 0
     main_update, main_delete, main_min = main.update, main.delete, main.find_min

@@ -389,15 +389,14 @@ FLUSH_GRID = [(block, frames) for block in (32, 64, 4096, 1024, 2048) for frames
 
 
 class TestLeanFlush:
-    """_flush binds its dict and list methods, sorts a bucket only when a
-    signal lowered a record or inserted an id, neither reads nor writes an
-    empty bucket, passes an inert batch whole and charges a level that lies
-    in one block by touch; it must count, store and forward exactly like the
+    """_flush binds its dict and list methods, neither reads nor writes an
+    empty bucket, passes an inert batch whole and charges every level, in one
+    block or in many, by read_run2/write_run2 runs, the bucket written before
+    the forwarded signals; it must count, store and forward exactly like the
     flush it replaced, oracles.reference_flush.
-    Mutations that fail it: list(d.values()) after a lowered key (drop the
-    resort in the sig < cur branch), which leaves a bucket unsorted; an inert
-    test without the id check; a single-block level that writes without its
-    dirty touch."""
+    Mutations that fail it: the forwarded signals written before the bucket,
+    which moves the LRU order; list(d.values()) in place of the sort, which
+    leaves a bucket unsorted; an inert test without the id check."""
 
     @pytest.mark.parametrize("block,frames", FLUSH_GRID)
     def test_counts_like_reference_flush(self, block, frames, monkeypatch):

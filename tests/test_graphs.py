@@ -1,5 +1,6 @@
 import math
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -47,6 +48,16 @@ class TestGnp:
     def test_non_integer_fields_rejected_naming_the_field(self, field, value):
         with pytest.raises(ValueError, match=f"^{field} must be an integer"):
             GnpSpec(**{"n": 8, field: value})
+
+    @pytest.mark.parametrize("value", ["0.5", [1], 0.5j, b"1"])
+    def test_non_real_p_rejected_naming_p(self, value):
+        with pytest.raises(ValueError, match="^p must be a real number"):
+            GnpSpec(n=8, p=value)
+
+    def test_real_p_stored_as_float(self):
+        for value, want in ((1, 1.0), (True, 1.0), (Fraction(1, 4), 0.25)):
+            spec = GnpSpec(n=8, p=value)
+            assert type(spec.p) is float and spec.p == want
 
     def test_integer_like_fields_stored_as_ints(self):
         class Index:

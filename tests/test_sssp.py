@@ -125,6 +125,20 @@ class TestFunnelVariant:
         assert res.heap_inserts == len(sizes)
         assert res.peak_heap_entries == max(sizes)
 
+    def test_cut_run_counts_its_inserts(self, monkeypatch):
+        # a run cut by its deadline still holds inserts it never popped
+        calls = []
+
+        class Tracked(FunnelHeap):
+            def insert(self, ident, key):
+                super().insert(ident, key)
+                calls.append(ident)
+
+        monkeypatch.setattr(sssp, "FunnelHeap", Tracked)
+        with pytest.raises(BenchTimeout) as cut:
+            sssp_funnel(gen_gnp(GnpSpec(n=4096, seed=2)), 0, deadline=time.monotonic())
+        assert cut.value.partial.heap_inserts == len(calls)
+
 
 class TestBucketVariant:
     def test_path_no_spurious_settle(self):
@@ -234,3 +248,14 @@ def test_deadline_stops_a_run_after_1024_settled_vertices(name, fn):
     assert [v for v, d in enumerate(part.dist) if d is not None] == sorted(part.settled_order)
     assert all(part.dist[v] == want.dist[v] for v in part.settled_order)
     assert part.stats["pq"].block_reads > 0
+
+
+@pytest.mark.parametrize("name,fn", VARIANTS, ids=[v[0] for v in VARIANTS])
+@pytest.mark.parametrize(
+    "g", [Graph([0, 0], [], []), Graph([0, 0, 1, 2], [2, 1], [5, 5])], ids=["one vertex", "source without arcs"]
+)
+def test_peak_counts_the_source_entry(name, fn, g):
+    # the heap held the source before it was settled, though no arc relaxed
+    res = fn(g, 0, pq_cache_bytes=1 * MB)
+    assert res.dist[0] == 0
+    assert res.peak_heap_entries == 1
