@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import math
 import sys
@@ -66,28 +67,28 @@ def _parse_list(flag: str, text: str, kind=int) -> list:
     return values
 
 
-def _open(path: str, mode: str = "r"):
-    """The ASCII file at path, an OSError raised as a ValueError naming it."""
-    try:
-        return open(path, mode, encoding="ascii")
-    except OSError as e:
-        raise ValueError(f"{path}: {e.strerror}") from None
-
-
 def _read_dimacs(path: str) -> Graph:
-    """The graph in a DIMACS file; a file that cannot be read or parsed is a
-    ValueError naming it."""
-    with _open(path) as fh:
+    """The graph in a DIMACS file; one that does not parse is a ValueError naming it."""
+    with open(path, encoding="ascii") as fh:
         try:
             return parse_dimacs(fh)
         except ValueError as e:  # a DimacsError, or bytes that are not ASCII
             raise ValueError(f"{path}: {e}") from None
 
 
+def _graphs(args, paths: list[str] | None, sizes: list[int]) -> list[Graph]:
+    """The graphs in the DIMACS files at paths, or if paths is None, G(n, p) for each n in sizes."""
+    if paths is None:
+        return [gen_gnp(GnpSpec(n=n, weight_max=args.wmax, seed=args.seed)) for n in sizes]
+    if not paths:
+        raise ValueError("--dimacs: no file given")
+    return [_read_dimacs(path) for path in paths]
+
+
 def _load_gen_config(path: str) -> dict:
     """key=value graph spec file: n, p, wmax, seed (commas or newlines between)."""
     vals = {}
-    with _open(path) as fh:
+    with open(path, encoding="ascii") as fh:
         for item in fh.read().replace(",", " ").split():
             key, _, value = item.partition("=")
             try:
@@ -155,34 +156,38 @@ def main(argv: list[str] | None = None) -> int:
     p.add_argument("--source", type=int, default=0)
 
     args = ap.parse_args(argv)
+    # the one place a bad value or an unusable file becomes a usage error
+    try:
+        return _run(args)
+    except ValueError as e:
+        ap.error(str(e))
+    except OSError as e:
+        if e.filename is None:
+            raise
+        ap.error(f"{e.filename}: {e.strerror}")
 
-    def checked(build, *a, **kw):
-        """build(*a, **kw), a ValueError from the user's values exiting 2 as a usage error."""
-        try:
-            return build(*a, **kw)
-        except ValueError as e:
-            ap.error(str(e))
 
+def _run(args) -> int:
+    """Run the parsed command. A value the command cannot take raises a
+    ValueError; an output file is opened before the work that fills it."""
     if args.cmd == "gen-graph":
-        g = gen_gnp(checked(_gnp_spec_from, args))
-        with checked(_open, args.out, "w") as fh:
+        spec = _gnp_spec_from(args)
+        with open(args.out, "w", encoding="ascii") as fh:
+            g = gen_gnp(spec)
             fh.write(write_dimacs(g))
         print(f"wrote {args.out}: V={g.vertex_count} arcs={g.arc_count}", file=sys.stderr)
         return 0
 
     if args.cmd == "verify":
-        if args.dimacs is not None:
-            g = checked(_read_dimacs, args.dimacs)
-        elif args.gnp_n is not None:
-            g = gen_gnp(checked(GnpSpec, n=args.gnp_n, weight_max=args.wmax, seed=args.seed))
-        else:
-            ap.error("need --gnp-n or --dimacs")
-        cache = checked(_cache_bytes, args)
-        checked(EmConfig, cache, args.block_bytes)
+        if args.dimacs is None and args.gnp_n is None:
+            raise ValueError("need --gnp-n or --dimacs")
+        (g,) = _graphs(args, None if args.dimacs is None else [args.dimacs], [args.gnp_n])
+        cache = _cache_bytes(args)
+        EmConfig(cache, args.block_bytes)
         if not 0 <= args.source < g.vertex_count:
-            ap.error(f"--source {args.source} out of range [0, {g.vertex_count})")
-        res = checked(
-            SSSP[args.heap], g, args.source, pq_cache_bytes=cache, graph_cache_bytes=cache, block_bytes=args.block_bytes
+            raise ValueError(f"--source {args.source} out of range [0, {g.vertex_count})")
+        res = SSSP[args.heap](
+            g, args.source, pq_cache_bytes=cache, graph_cache_bytes=cache, block_bytes=args.block_bytes
         )
         want = sssp_reference(g, args.source).dist
         bad = first_mismatch(res.dist, want)
@@ -190,52 +195,38 @@ def main(argv: list[str] | None = None) -> int:
             reach = sum(d is not None for d in want)
             print(f"OK: {args.heap} matches reference on V={g.vertex_count} ({reach} reachable)")
             return 0
-        print(
-            f"MISMATCH at vertex {bad}: {args.heap}={res.dist[bad]} reference={want[bad]}",
-            file=sys.stderr,
-        )
+        print(f"MISMATCH at vertex {bad}: {args.heap}={res.dist[bad]} reference={want[bad]}", file=sys.stderr)
         return 1
 
     if args.reps < 1:
-        ap.error(f"--reps must be at least 1, got {args.reps}")
+        raise ValueError(f"--reps must be at least 1, got {args.reps}")
     if args.timeout_secs is not None and not args.timeout_secs >= 0:
-        ap.error(f"--timeout-secs must be at least 0, got {args.timeout_secs}")
+        raise ValueError(f"--timeout-secs must be at least 0, got {args.timeout_secs}")
     if args.cmd == "mem-sweep":
         if args.n < 1:
-            ap.error(f"--n must be at least 1, got {args.n}")
+            raise ValueError(f"--n must be at least 1, got {args.n}")
         caches = MEM_SWEEP_CACHES
         if args.cache_mb_list is not None:
-            listed = checked(_parse_list, "--cache-mb-list", args.cache_mb_list, float)
-            caches = [checked(_mb_bytes, "--cache-mb-list", m) for m in listed]
+            listed = _parse_list("--cache-mb-list", args.cache_mb_list, float)
+            caches = [_mb_bytes("--cache-mb-list", m) for m in listed]
     else:
-        caches = [checked(_cache_bytes, args)]
+        caches = [_cache_bytes(args)]
     for cache in caches:
-        checked(EmConfig, cache, args.block_bytes)
-    runs = dict(block_bytes=args.block_bytes, seed=args.seed, reps=args.reps, timeout_secs=args.timeout_secs)
+        EmConfig(cache, args.block_bytes)
     if args.cmd == "pq-bench":
-        sizes = checked(_parse_list, "--sizes", args.sizes) if args.sizes is not None else None
-        records = checked(run_pq_bench, args.heap, sizes, cache_bytes=caches[0], **runs)
+        sizes = _parse_list("--sizes", args.sizes) if args.sizes is not None else None
+        work = functools.partial(run_pq_bench, args.heap, sizes, caches[0])
     elif args.cmd == "sssp-bench":
-        if args.dimacs is not None:
-            if not args.dimacs:
-                ap.error("--dimacs: no file given")
-            parsed = [checked(_read_dimacs, path) for path in args.dimacs]
-            graphs = [(g.vertex_count, g) for g in parsed]
-        else:
-            sizes = SSSP_RANDOM_SIZES
-            if args.gnp_sizes is not None:
-                sizes = checked(_parse_list, "--gnp-sizes", args.gnp_sizes)
-            graphs = [(n, gen_gnp(checked(GnpSpec, n=n, weight_max=args.wmax, seed=args.seed))) for n in sizes]
-        records = checked(
-            run_sssp_bench, args.heap, graphs, cache_bytes=caches[0], verify_cap=args.verify_cap, **runs
-        )
+        sizes = SSSP_RANDOM_SIZES
+        if args.dimacs is None and args.gnp_sizes is not None:
+            sizes = _parse_list("--gnp-sizes", args.gnp_sizes)
+        graphs = [(g.vertex_count, g) for g in _graphs(args, args.dimacs, sizes)]
+        work = functools.partial(run_sssp_bench, args.heap, graphs, caches[0], verify_cap=args.verify_cap)
     else:
-        records = checked(mem_sweep, args.heap, args.n, caches, **runs)
-    if args.csv:
-        with checked(_open, args.csv, "w") as fh:
-            write_csv(records, fh)
-    else:
-        write_csv(records, sys.stdout)
+        work = functools.partial(mem_sweep, args.heap, args.n, caches)
+    runs = dict(block_bytes=args.block_bytes, seed=args.seed, reps=args.reps, timeout_secs=args.timeout_secs)
+    with open(args.csv, "w", encoding="ascii") if args.csv else contextlib.nullcontext(sys.stdout) as fh:
+        write_csv(work(**runs), fh)
     return 0
 
 

@@ -31,7 +31,7 @@ per-record ``get2``/``put2`` loop over the same range. Each takes one path:
 it checks the range, returns from an empty run before any touch, switches
 to its head block (or dirties it) once, moves a run that ends there as one
 slice, and walks on with one ``_switch`` per later block. ``peek_run2``
-reads a run in the same steps without touching anything; with ``peek_lru``,
+reads a run one slice per block without touching anything; with ``peek_lru``,
 the stat-free view of the cache (the resident blocks and their dirty flags
 in LRU order), it is how invariant checkers read a vector.
 
@@ -338,26 +338,15 @@ class BlockVector:
             i += rpb
 
     def peek_run2(self, lo: int, hi: int) -> list[int]:
-        """Records lo..hi-1, in a new list, read in read_run2's steps but
+        """Records lo..hi-1, in a new list, one slice per block, but
         stat-free: never faults, never counts, leaves the LRU order alone."""
         if not 0 <= lo <= hi <= self._length:
             raise IndexError(f"record run [{lo}, {hi}) out of range [0, {self._length})")
-        if lo == hi:
-            return []
-        rpb, n = self._rpb, hi - lo
-        b = lo // rpb
-        data = self._blocks.get(b) or [0] * rpb  # no list yet or any more: zeros
-        off = lo - b * rpb
-        if n <= rpb - off:  # the run ends in its head block
-            return data[off : off + n]
-        out = data[off:]
-        while True:  # the run goes on into block b + 1
-            b += 1
-            data = self._blocks.get(b) or [0] * rpb
-            if n - len(out) <= rpb:
-                out += data[: n - len(out)]
-                return out
-            out += data
+        rpb, out = self._rpb, []
+        for b in range(lo // rpb, -(-hi // rpb)):
+            data = self._blocks.get(b) or [0] * rpb  # no list yet or any more: zeros
+            out += data[max(lo - b * rpb, 0) : hi - b * rpb]
+        return out
 
     def peek_lru(self) -> list[tuple[int, bool]]:
         """The resident blocks as (block, dirty) pairs, least recently used

@@ -385,6 +385,8 @@ class TestCli:
             (("gen-graph", "--n", "8", "--out", "no/such/dir/g.gr"), "no/such/dir/g.gr"),
             (("gen-graph", "--config", "missing.cfg", "--out", "g.gr"), "missing.cfg"),
             (("pq-bench", "--heap", "funnel", "--sizes", "16", "--reps", "1", "--csv", "no/x.csv"), "no/x.csv"),
+            (("sssp-bench", "--heap", "funnel", "--gnp-sizes", "16", "--reps", "1", "--csv", "no/x.csv"), "no/x.csv"),
+            (("mem-sweep", "--heap", "funnel", "--n", "16", "--cache-mb-list", "1", "--csv", "no/x.csv"), "no/x.csv"),
         ],
         ids=[
             "verify-not-dimacs",
@@ -393,9 +395,24 @@ class TestCli:
             "gen-graph-out-dir-missing",
             "gen-graph-config-missing",
             "pq-bench-csv-dir-missing",
+            "sssp-bench-csv-dir-missing",
+            "mem-sweep-csv-dir-missing",
         ],
     )
     def test_unusable_files_exit_2_naming_the_path(self, args, path, capsys, tmp_path, monkeypatch):
+        # an output is opened before the work that fills it, so the work a
+        # command would run must not start when a file is unusable
+        def no_work(*a, **kw):
+            pytest.fail(f"{args[0]} ran its work before the open failed")
+
+        work = {
+            "pq-bench": "run_pq_bench",
+            "sssp-bench": "run_sssp_bench",
+            "mem-sweep": "mem_sweep",
+            "gen-graph": "gen_gnp",
+        }.get(args[0])
+        if work is not None:  # verify reads files only
+            monkeypatch.setattr(f"copq.cli.{work}", no_work)
         monkeypatch.chdir(tmp_path)
         with pytest.raises(SystemExit) as exit_:
             main([str(a) for a in args])

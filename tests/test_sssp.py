@@ -12,7 +12,7 @@ from copq.sssp import BenchTimeout, sssp_binary, sssp_bucket, sssp_funnel, sssp_
 
 from oracles import bellman_ford
 
-VARIANTS = [("binary", sssp_binary), ("funnel", sssp_funnel), ("bucket", sssp_bucket)]
+VARIANTS = list(sssp.SSSP.items())
 
 
 def undirected(n, edges):
