@@ -40,8 +40,7 @@ class BinaryHeap:
     def __len__(self) -> int:
         return self._n
 
-    def occupancy(self) -> int:
-        return self._n
+    occupancy = __len__
 
     def vectors(self) -> dict[str, BlockVector]:
         return {"heap": self.heap, "positions": self.positions}

@@ -24,6 +24,7 @@ from .sssp import SSSP, sssp_reference
 
 # gen-graph's spec, read from flags of these names or from a config file
 _GNP_KEYS = {"n": int, "p": float, "wmax": int, "seed": int}
+_WMAX = 1000  # largest G(n, p) edge weight unless --wmax says otherwise
 
 
 def _add_heap(p: argparse.ArgumentParser) -> None:
@@ -57,13 +58,16 @@ def _cache_bytes(args) -> int:
 
 def _parse_list(flag: str, text: str, kind=int) -> list:
     """The numbers in text, split at commas or spaces; a ValueError names flag,
-    also for an empty list, which would otherwise run the default grid."""
+    also for an empty list, which would otherwise run the default grid, and
+    for an int below 1 (every int list is of sizes)."""
     try:
         values = [kind(t) for t in text.replace(",", " ").split()]
     except ValueError:
         raise ValueError(f"{flag}: not a list of numbers: {text!r}") from None
     if not values:
         raise ValueError(f"{flag}: empty list: {text!r}")
+    if kind is int and min(values) < 1:
+        raise ValueError(f"{flag} must be at least 1, got {min(values)}")
     return values
 
 
@@ -77,9 +81,14 @@ def _read_dimacs(path: str) -> Graph:
 
 
 def _graphs(args, paths: list[str] | None, sizes: list[int]) -> list[Graph]:
-    """The graphs in the DIMACS files at paths, or if paths is None, G(n, p) for each n in sizes."""
+    """The graphs in the DIMACS files at paths, or if paths is None, G(n, p) for each n in sizes.
+    A G(n, p) flag given next to --dimacs (its value not None) is a ValueError naming it."""
     if paths is None:
-        return [gen_gnp(GnpSpec(n=n, weight_max=args.wmax, seed=args.seed)) for n in sizes]
+        wmax = _WMAX if args.wmax is None else args.wmax
+        return [gen_gnp(GnpSpec(n=n, weight_max=wmax, seed=args.seed)) for n in sizes]
+    for dest in ("gnp_n", "gnp_sizes", "wmax"):  # verify has no gnp_sizes, sssp-bench no gnp_n
+        if getattr(args, dest, None) is not None:
+            raise ValueError(f"--{dest.replace('_', '-')}: not allowed with --dimacs")
     if not paths:
         raise ValueError("--dimacs: no file given")
     return [_read_dimacs(path) for path in paths]
@@ -124,7 +133,7 @@ def main(argv: list[str] | None = None) -> int:
     _add_cache(p)
     _add_runs(p)
     p.add_argument("--gnp-sizes", type=str, default=None, help=f"vertex counts (default {SSSP_RANDOM_SIZES})")
-    p.add_argument("--wmax", type=int, default=1000)
+    p.add_argument("--wmax", type=int, default=None, help=f"largest edge weight (default {_WMAX})")
     p.add_argument("--dimacs", type=str, nargs="*", default=None, help=".gr files to run instead of random graphs")
     p.add_argument("--verify-cap", type=int, default=1 << 15, help="verify against the reference up to this V")
 
@@ -142,7 +151,7 @@ def main(argv: list[str] | None = None) -> int:
     p = add("gen-graph", help="write a G(n,p) graph as a DIMACS .gr file")
     p.add_argument("--n", type=int, default=None)
     p.add_argument("--p", type=float, default=None, help="edge probability (default 16/(n-1))")
-    p.add_argument("--wmax", type=int, default=1000)
+    p.add_argument("--wmax", type=int, default=_WMAX)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--config", type=str, default=None, help="key=value file: n=..., p=..., wmax=..., seed=...")
     p.add_argument("--out", type=str, required=True)
@@ -151,7 +160,7 @@ def main(argv: list[str] | None = None) -> int:
     _add_heap(p)
     _add_cache(p)
     p.add_argument("--gnp-n", type=int, default=None)
-    p.add_argument("--wmax", type=int, default=1000)
+    p.add_argument("--wmax", type=int, default=None, help=f"largest edge weight (default {_WMAX})")
     p.add_argument("--dimacs", type=str, default=None)
     p.add_argument("--source", type=int, default=0)
 

@@ -21,6 +21,7 @@ ties break by id.
 from __future__ import annotations
 
 from bisect import bisect_right
+from functools import cache
 
 from .emcore import BlockVector, EmConfig, DEFAULT_BLOCK_BYTES, DEFAULT_CACHE_BYTES, MASK64, u64
 
@@ -42,34 +43,21 @@ def _intsize(k: int) -> int:
     return _intsize(top) + top * (bot**3) + top * _intsize(bot)
 
 
-_PARAMS: list[tuple[int, int, int, int, int, int]] = []  # (s, k, acap, bcap, intsz, leafcap)
-_PARAMS_T: list[int] = []  # running capacity sum used by the leafcap recurrence
-
-
+@cache
 def _link_params(num: int) -> tuple[int, int, int, int, int, int]:
     """Geometry of link `num` (1-based): nominal run size s, fan-in k, chain
     buffer capacity, merger output capacity, internal capacity, leaf capacity.
 
+    s_1 = 8 and s_{i+1} = s_i (k_i + 1), the chain buffer capacity of link i.
     A sweep into link i carries at most: the insertion buffer, everything in
     links 1..i-1, and link i's own chain/merger/internal buffer contents.
     leafcap is that worst case, so a swept run always fits one leaf.
     """
-    while len(_PARAMS) < num:
-        i = len(_PARAMS) + 1
-        if i == 1:
-            s, k = _INSERTION_CAP, 2
-        else:
-            ps, pk = _PARAMS[-1][0], _PARAMS[-1][1]
-            s = ps * (pk + 1)
-            k = 1 << -(-(s - 1).bit_length() // 3)  # least power of two with k^3 >= s
-        acap = s * (k + 1)  # = s_{i+1}
-        bcap = k**3
-        intsz = _intsize(k)
-        prev_total = _PARAMS_T[-1] if _PARAMS_T else 0
-        leafcap = _INSERTION_CAP + prev_total + bcap + intsz + s
-        _PARAMS.append((s, k, acap, bcap, intsz, leafcap))
-        _PARAMS_T.append(prev_total + k * leafcap + bcap + intsz + s)
-    return _PARAMS[num - 1]
+    s = _INSERTION_CAP if num == 1 else _link_params(num - 1)[2]
+    k = 1 << -(-(s - 1).bit_length() // 3)  # least power of two with k^3 >= s
+    bcap, intsz = k**3, _intsize(k)
+    shallower = sum(pk * pleaf + pb + pint + ps for ps, pk, _, pb, pint, pleaf in map(_link_params, range(1, num)))
+    return s, k, s * (k + 1), bcap, intsz, _INSERTION_CAP + shallower + bcap + intsz + s
 
 
 class _Ring:
@@ -93,11 +81,8 @@ class _Ring:
         b = start // rpb
         self.block = b if cap and (start + cap - 1) // rpb == b else -1
 
-    def peek(self, vec: BlockVector) -> int:
-        return vec.get2(self.start + self.head)
-
     def advance(self) -> None:
-        """Drop the head record (caller already holds its value from peek)."""
+        """Drop the head record (the caller has already read it)."""
         self.head += 1
         if self.head == self.cap:
             self.head = 0
@@ -123,31 +108,22 @@ class _Ring:
             return b, data[off : off + n]
         return b, data[off : off + k] + data[off + k - cap : off + n - cap]
 
-    def drain(self, vec: BlockVector) -> list[int]:
-        """Empty the ring, returning its records: one run up to the end of
-        the region and, if the ring wraps, one from its start."""
+    def records(self, read_run2) -> list[int]:
+        """The ring's records by read_run2 (a vector's read_run2, or peek_run2
+        for a stat-free read): one run up to the end of the region and, if
+        the ring wraps, one from its start."""
         first = min(self.count, self.cap - self.head)
         lo = self.start + self.head
-        out = vec.read_run2(lo, lo + first)
+        out = read_run2(lo, lo + first)
         if first < self.count:
-            out.extend(vec.read_run2(self.start, self.start + self.count - first))
-        self.head = 0
-        self.count = 0
+            out += read_run2(self.start, self.start + self.count - first)
         return out
 
-    def write_run(self, vec: BlockVector, run: list[int]) -> None:
-        """Replace the content by the sorted run."""
+    def drain(self, vec: BlockVector) -> list[int]:
+        """Empty the ring, returning its records, read as runs."""
+        out = self.records(vec.read_run2)
         self.head = 0
-        self.count = len(run)
-        vec.write_run2(self.start, run)
-
-    def peek_all(self, vec: BlockVector) -> list[int]:
-        """The ring's records, stat-free, in the two runs drain reads."""
-        first = min(self.count, self.cap - self.head)
-        lo = self.start + self.head
-        out = vec.peek_run2(lo, lo + first)
-        if first < self.count:
-            out += vec.peek_run2(self.start, self.start + self.count - first)
+        self.count = 0
         return out
 
 
@@ -375,8 +351,7 @@ class FunnelHeap:
     def __len__(self) -> int:
         return self._n
 
-    def occupancy(self) -> int:
-        return self._n
+    occupancy = __len__
 
     def vectors(self) -> dict[str, BlockVector]:
         return {"funnel": self.vector}
@@ -429,7 +404,7 @@ class FunnelHeap:
             if a1.count == 0 and not a1.producer.dry:
                 a1.producer.fill(vec)
             if a1.count:
-                cand = a1.peek(vec)
+                cand = vec.get2(a1.start + a1.head)
                 if best is None or cand < best:
                     best = cand
                     ring = a1
@@ -484,7 +459,9 @@ class FunnelHeap:
         leaf = target.leaves[target.c]
         if len(run) > leaf.cap:
             raise AssertionError(f"sweep run of {len(run)} exceeds leaf capacity {leaf.cap}")
-        leaf.write_run(vec, run)
+        leaf.head = 0
+        leaf.count = len(run)
+        vec.write_run2(leaf.start, run)
         target.c += 1
 
     # -- test hooks --------------------------------------------------------------
@@ -499,11 +476,11 @@ class FunnelHeap:
 
     def check_invariants(self) -> None:
         """Sortedness of every buffer and conservation of the live count (stat-free)."""
-        assert self._imirror == self._I.peek_all(self.vector), "insertion-buffer mirror drifted"
+        peek_run2 = self.vector.peek_run2
+        assert self._imirror == self._I.records(peek_run2), "insertion-buffer mirror drifted"
         total = 0
-        vec = self.vector
         for ring in self._all_rings():
-            items = ring.peek_all(vec)
+            items = ring.records(peek_run2)
             total += len(items)
             assert all(items[i] <= items[i + 1] for i in range(len(items) - 1)), "buffer unsorted"
             assert 0 <= ring.count <= ring.cap
@@ -514,5 +491,5 @@ class FunnelHeap:
     def _live_items(self) -> list[int]:
         out = []
         for ring in self._all_rings():
-            out.extend(ring.peek_all(self.vector))
+            out += ring.records(self.vector.peek_run2)
         return sorted(out)

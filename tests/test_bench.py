@@ -68,6 +68,26 @@ class TestWorkload:
         pq_workload(heap, 100, seed=1)
         assert heap.find_min() is None
 
+    @pytest.mark.parametrize("structure", ["binary", "funnel"])
+    def test_occupancy_is_len_throughout(self, structure):
+        heap = HEAPS[structure](1 * MB, 4096)
+        checked = []
+
+        class Probe:
+            """Passes each workload call to the heap, then compares its two sizes."""
+
+            def __getattr__(self, name):
+                def call(*args):
+                    out = getattr(heap, name)(*args)
+                    assert heap.occupancy() == len(heap)
+                    checked.append(name)
+                    return out
+
+                return call
+
+        pq_workload(Probe(), 300, seed=4)
+        assert checked.count("delete_min") == 450 and checked.count("insert") == 450
+
 
 class TestRunners:
     def test_pq_bench_rows_and_determinism(self):
@@ -347,6 +367,26 @@ class TestCli:
                 ("sssp-bench", "--heap", "bucket", "--gnp-sizes", "16", "--timeout-secs", "-1"),
                 "--timeout-secs must be at least 0, got -1.0",
             ),
+            # a size below 1 is rejected before --csv is opened
+            (
+                ("pq-bench", "--heap", "funnel", "--sizes", "256 0", "--reps", "1", "--csv", "bad.csv"),
+                "--sizes must be at least 1, got 0",
+            ),
+            (
+                ("sssp-bench", "--heap", "funnel", "--gnp-sizes", "16 -3", "--reps", "1", "--csv", "bad.csv"),
+                "--gnp-sizes must be at least 1, got -3",
+            ),
+            # the G(n, p) flags and --dimacs exclude each other
+            (
+                ("sssp-bench", "--heap", "funnel", "--dimacs", "g.gr", "--gnp-sizes", "junk", "--csv", "bad.csv"),
+                "--gnp-sizes: not allowed with --dimacs",
+            ),
+            (
+                ("sssp-bench", "--heap", "funnel", "--dimacs", "g.gr", "--wmax", "5", "--csv", "bad.csv"),
+                "--wmax: not allowed with --dimacs",
+            ),
+            (("verify", "--heap", "funnel", "--dimacs", "g.gr", "--gnp-n", "5"), "--gnp-n: not allowed with --dimacs"),
+            (("verify", "--heap", "funnel", "--dimacs", "g.gr", "--wmax", "5"), "--wmax: not allowed with --dimacs"),
         ],
         ids=[
             "gen-graph-zero-n",
@@ -357,15 +397,23 @@ class TestCli:
             "pq-bench-timeout-negative",
             "sssp-bench-timeout-nan",
             "sssp-bench-timeout-negative",
+            "pq-bench-zero-size",
+            "sssp-bench-negative-gnp-size",
+            "sssp-bench-dimacs-and-gnp-sizes",
+            "sssp-bench-dimacs-and-wmax",
+            "verify-dimacs-and-gnp-n",
+            "verify-dimacs-and-wmax",
         ],
     )
     def test_usage_error_says_what_is_wrong(self, args, message, capsys, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
         (tmp_path / "g.cfg").write_text("n=8, q=3\n")
+        (tmp_path / "g.gr").write_text("p sp 2 2\na 1 2 5\na 2 1 5\n")
         with pytest.raises(SystemExit) as exit_:
             main(list(args))
         assert exit_.value.code == 2
         assert capsys.readouterr().err.splitlines()[-1] == f"copq: error: {message}"
+        assert not (tmp_path / "bad.csv").exists()
 
     @pytest.mark.parametrize(
         "cmd,flag,text",

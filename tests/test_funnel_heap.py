@@ -55,7 +55,7 @@ class TestSweep:
         link = h._links[0]
         assert link.c == 1
         assert link.leaves[0].count == 8
-        run = link.leaves[0].peek_all(h.vector)
+        run = link.leaves[0].records(h.vector.peek_run2)
         assert run == sorted(run)
         assert h._I.count == 1  # the insert that triggered the sweep
         h.check_invariants()
@@ -128,6 +128,30 @@ class TestSweep:
             (164270529153720, 65536),
             (10765797669147347640, 4194304),
             (45155038992693065943190200, 536870912),
+        ]
+
+    def test_link_geometry_pinned(self):
+        # (s, k, acap, bcap, intsz, leafcap): acap = s (k + 1) is the next
+        # link's s, bcap = k^3, and leafcap = 8 + (capacity of the shallower
+        # links) + bcap + intsz + s, the largest run a sweep can carry
+        assert [_link_params(i) for i in range(1, 11)] == [
+            (8, 2, 24, 8, 0, 24),
+            (24, 4, 120, 64, 16, 176),
+            (120, 8, 1080, 512, 48, 1560),
+            (1080, 16, 18360, 4096, 336, 19552),
+            (18360, 32, 605880, 32768, 688, 384200),
+            (605880, 128, 78158520, 2097152, 9296, 15390928),
+            (78158520, 512, 40095320760, 134217728, 142512, 2197948472),
+            (40095320760, 4096, 164270529153720, 68719476736, 17071536, 1236379435168),
+            (164270529153720, 65536, 10765797669147347640, 281474976710656, 4313278032, 5511196365025704),
+            (
+                10765797669147347640,
+                4194304,
+                45155038992693065943190200,
+                73786976294838206464,
+                17596582608304,
+                445740067735257725456,
+            ),
         ]
 
     def test_link_count_bound_for_2_22_inserts(self):
