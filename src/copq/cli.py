@@ -165,15 +165,18 @@ def main(argv: list[str] | None = None) -> int:
     p.add_argument("--source", type=int, default=0)
 
     args = ap.parse_args(argv)
-    # the one place a bad value or an unusable file becomes a usage error
+    # the one place a bad value or an unusable file becomes a usage error,
+    # reported like argparse's own errors for the command: its usage line,
+    # then "copq <cmd>: error: ..."
+    error = sub.choices[args.cmd].error
     try:
         return _run(args)
     except ValueError as e:
-        ap.error(str(e))
+        error(str(e))
     except OSError as e:
         if e.filename is None:
             raise
-        ap.error(f"{e.filename}: {e.strerror}")
+        error(f"{e.filename}: {e.strerror}")
 
 
 def _run(args) -> int:

@@ -52,7 +52,7 @@ evictions, dirty flags and LRU order at the end of the stretch. Since the
 state at the end is the same, the rule can be applied stretch after
 stretch, each time to the sequence the last rewrite left. It has two users:
 
-- The funnel heap's merge (``_Merger.fill``) moves a block window at a
+- The funnel heap's merge (``_Ring.fill``) moves a block window at a
   time. Per record, a window touches its out block and the blocks of its
   two inputs, interleaved, over at most three blocks; with at least three
   frames it is charged by touching each block once in first-touch order,

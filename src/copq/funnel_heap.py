@@ -64,22 +64,35 @@ class _Ring:
     """Circular queue of records over a fixed vector region.
 
     Content is always a sorted run; pops come from the head, appends go to
-    the tail. `producer` is the merger that refills the ring: None for the
-    insertion buffer, the leaves and the empty ring behind the last link.
-    `block` is the block holding the whole region for `rpb` records per
-    block, else -1 (always for an empty region).
+    the tail. `block` is the block holding the whole region for `rpb`
+    records per block, else -1 (always for an empty region).
+
+    A merger's output ring refills itself by merging its `left` and `right`
+    input rings, up to `batch` records per fill. The insertion buffer, the
+    leaves and the empty ring behind the last link have no inputs and are
+    always `dry`. A ring with inputs turns dry when a fill ends with both
+    inputs empty and dry: its whole subtree is empty, so a fill would output
+    nothing and touch no block, and callers skip it. A sweep clears it on
+    every ring with inputs in the links it refills.
     """
 
-    __slots__ = ("start", "cap", "head", "count", "producer", "block")
+    __slots__ = ("start", "cap", "head", "count", "block", "left", "right", "batch", "dry")
 
     def __init__(self, start: int, cap: int, rpb: int):
         self.start = start
         self.cap = cap
         self.head = 0
         self.count = 0
-        self.producer = None
         b = start // rpb
         self.block = b if cap and (start + cap - 1) // rpb == b else -1
+        self.left = self.right = None
+        self.batch = 0
+        self.dry = True
+
+    def feed(self, left: _Ring, right: _Ring, batch: int) -> None:
+        """Make the ring the output of a binary merger of left and right."""
+        self.left, self.right, self.batch = left, right, batch
+        self.dry = False
 
     def advance(self) -> None:
         """Drop the head record (the caller has already read it)."""
@@ -126,39 +139,18 @@ class _Ring:
         self.count = 0
         return out
 
-
-class _Merger:
-    """Binary merger filling its output ring with up to `batch` records per
-    call; it becomes the output ring's producer.
-
-    `dry` is set when a fill ends with both input rings empty and both
-    producers dry or absent: the merger's whole subtree is empty, so a fill
-    would output nothing and touch no block, and callers skip it. A sweep
-    clears it on every merger of the links it refills.
-
-    `rpb` is the vector's records per block and `wide` whether it has the
-    three frames a block window needs; the heap reads both once."""
-
-    __slots__ = ("out", "left", "right", "batch", "dry", "rpb", "wide")
-
-    def __init__(self, out: _Ring, left: _Ring, right: _Ring, batch: int, geom: tuple[int, bool]):
-        self.out = out
-        self.left = left
-        self.right = right
-        self.batch = batch
-        self.dry = False
-        self.rpb, self.wide = geom
-        out.producer = self
-
-    def fill(self, vec: BlockVector) -> None:
-        # Every fill starts on an empty out ring: callers fill a ring only
-        # when its count is 0, and no child's subtree holds it, so out.count
+    def fill(self, vec: BlockVector, rpb: int, wide: bool) -> None:
+        """Merge up to `batch` records from the inputs into the ring. `rpb` is
+        the vector's records per block and `wide` whether it has the three
+        frames a block window needs; the heap reads both once."""
+        # Every fill starts on an empty ring: callers fill a ring only when
+        # its count is 0, and no input's subtree holds it, so self.count
         # is stored once, at the end. A side L (R) is None until its head is
         # read, () while its whole subtree is empty, else the run that
         # _Ring.head_run returned at the head read, at most what this fill can
         # still output: the records from the head on that the side's current
         # block lb (rb) holds, in ring order; li (ri) indexes the head in it.
-        # A head step reads a head, after a child fill if its ring ran empty.
+        # A head step reads a head, after an input's fill if it ran empty.
         # Then a block window moves at once: the outputs up to the first point
         # where the out ring or a side ring would leave its current block or
         # run empty, or the batch is full; the left side wins ties. A ring
@@ -182,27 +174,24 @@ class _Merger:
         # dirty) of a record in the block; a wrap inside a block changes no
         # block, so it changes no charge.
         touch = vec.touch
-        rpb, wide = self.rpb, self.wide
-        out = self.out
         want = self.batch
-        ostart, ocap, oblock, ocount = out.start, out.cap, out.block, out.count
+        ostart, ocap, oblock, ocount = self.start, self.cap, self.block, self.count
         obase = ostart - oblock * rpb  # the out region's first slot in its block
-        opos = out.head + ocount
+        opos = self.head + ocount
         lring, rring = self.left, self.right
-        lprod, rprod = lring.producer, rring.producer
         L = R = None
         while ocount < want:
             mru = None  # the side whose head read, if any, is the last touch so far
             if L is None:
-                if lring.count == 0 and lprod is not None and not lprod.dry:
-                    lprod.fill(vec)
+                if lring.count == 0 and not lring.dry:
+                    lring.fill(vec, rpb, wide)
                 L, li = (), 0
                 if lring.count:
                     mru = lring
                     lb, L = lring.head_run(touch, rpb, want - ocount)
             if R is None:
-                if rring.count == 0 and rprod is not None and not rprod.dry:
-                    rprod.fill(vec)
+                if rring.count == 0 and not rring.dry:
+                    rring.fill(vec, rpb, wide)
                     mru = None
                 R, ri = (), 0
                 if rring.count:
@@ -290,45 +279,40 @@ class _Merger:
                 L = None
             else:
                 R = None
-        out.count = ocount
-        self.dry = (
-            lring.count == rring.count == 0
-            and (lprod is None or lprod.dry)
-            and (rprod is None or rprod.dry)
-        )
+        self.count = ocount
+        self.dry = lring.count == rring.count == 0 and lring.dry and rring.dry
 
 
 def _build_kmerger(
-    pos: int, k: int, inputs: list[_Ring], out: _Ring, internals: list[_Ring], geom: tuple[int, bool]
+    pos: int, k: int, inputs: list[_Ring], out: _Ring, internals: list[_Ring], rpb: int
 ) -> int:
     """Recursively laid-out k-merger from record `pos` on: top sub-merger
     region first, then the middle buffers, then the bottom sub-mergers, all
     contiguous. Returns the first record past the region."""
     if k == 2:
-        _Merger(out, inputs[0], inputs[1], out.cap, geom)
+        out.feed(inputs[0], inputs[1], out.cap)
         return pos
     top_f, bot_f = _merger_split(k)
     top_pos = pos
     pos += _intsize(top_f)
-    mids = [_Ring(pos + t * bot_f**3, bot_f**3, geom[0]) for t in range(top_f)]
+    mids = [_Ring(pos + t * bot_f**3, bot_f**3, rpb) for t in range(top_f)]
     internals.extend(mids)
     pos += top_f * bot_f**3
     for t in range(top_f):
-        pos = _build_kmerger(pos, bot_f, inputs[t * bot_f : (t + 1) * bot_f], mids[t], internals, geom)
-    _build_kmerger(top_pos, top_f, mids, out, internals, geom)
+        pos = _build_kmerger(pos, bot_f, inputs[t * bot_f : (t + 1) * bot_f], mids[t], internals, rpb)
+    _build_kmerger(top_pos, top_f, mids, out, internals, rpb)
     return pos
 
 
 class _Link:
-    __slots__ = ("A", "B", "leaves", "c", "internals", "mergers")
+    __slots__ = ("A", "B", "leaves", "c", "internals")
 
     def __init__(self, A, B, leaves, internals):
-        self.A = A  # output of the chain merger A.producer: B merged with the next link's A
+        self.A = A  # the chain merger's output: B merged with the next link's A
         self.B = B
         self.leaves = leaves
         self.c = 0  # leaves [0, c) are in use or exhausted
         self.internals = internals
-        self.mergers = [A.producer, B.producer] + [r.producer for r in internals]
 
 
 class FunnelHeap:
@@ -339,7 +323,7 @@ class FunnelHeap:
     ):
         self.vector = BlockVector(EmConfig(cache_bytes, block_bytes, 16))
         self._rpb = self.vector.config.records_per_block
-        self._wide = self.vector.config.frame_count >= 3  # see _Merger.fill
+        self._wide = self.vector.config.frame_count >= 3  # see _Ring.fill
         self.vector.extend(_INSERTION_CAP)
         self._I = _Ring(0, _INSERTION_CAP, self._rpb)
         # sorted mirror of the insertion buffer: spares re-reading its one hot
@@ -401,8 +385,8 @@ class FunnelHeap:
             ring = self._I
         if self._links:
             a1 = self._links[0].A
-            if a1.count == 0 and not a1.producer.dry:
-                a1.producer.fill(vec)
+            if a1.count == 0 and not a1.dry:
+                a1.fill(vec, self._rpb, self._wide)
             if a1.count:
                 cand = vec.get2(a1.start + a1.head)
                 if best is None or cand < best:
@@ -424,11 +408,10 @@ class FunnelHeap:
         leaf_base = base + acap + bcap + intsz
         leaves = [_Ring(leaf_base + t * leafcap, leafcap, rpb) for t in range(k)]
         internals: list[_Ring] = []
-        geom = (rpb, self._wide)
-        _build_kmerger(base + acap + bcap, k, leaves, B, internals, geom)
-        _Merger(A, B, _Ring(0, 0, rpb), s, geom)
+        _build_kmerger(base + acap + bcap, k, leaves, B, internals, rpb)
+        A.feed(B, _Ring(0, 0, rpb), s)
         if self._links:
-            self._links[-1].A.producer.right = A
+            self._links[-1].A.right = A
         self._links.append(_Link(A, B, leaves, internals))
 
     def _sweep(self) -> None:
@@ -443,8 +426,8 @@ class FunnelHeap:
         run = self._I.drain(vec)
         self._imirror.clear()
         for ln in self._links[: idx + 1]:
-            for m in ln.mergers:
-                m.dry = False
+            for r in (ln.A, ln.B, *ln.internals):
+                r.dry = False
             run.extend(ln.A.drain(vec))
             run.extend(ln.B.drain(vec))
             for r in ln.internals:

@@ -191,25 +191,26 @@ def gen_gnp_reference(spec):
     return Graph(offsets, targets, weights)
 
 
-def reference_fill(merger, vec):
+def reference_fill(out, vec, rpb, wide):
     """The funnel heap's binary merge one record at a time: a get2 for each
     head it moves and a put2 for each output, in stream order, the left side
-    winning ties. A drop-in for copq.funnel_heap._Merger.fill; the library's
-    block-window merge must count exactly like it."""
-    out = merger.out
-    lring, rring = merger.left, merger.right
+    winning ties. A drop-in for copq.funnel_heap._Ring.fill; the library's
+    block-window merge must count exactly like it. It refills every empty
+    input that has inputs of its own, dry or not, so it also shows that
+    skipping a dry ring changes no count."""
+    lring, rring = out.left, out.right
     opos = out.head + out.count
     if opos >= out.cap:
         opos -= out.cap
     lhead = rhead = None
-    while out.count < merger.batch:
+    while out.count < out.batch:
         if lhead is None:
-            if lring.count == 0 and lring.producer is not None:
-                lring.producer.fill(vec)
+            if lring.count == 0 and lring.left is not None:
+                lring.fill(vec, rpb, wide)
             lhead = vec.get2(lring.start + lring.head) if lring.count else False
         if rhead is None:
-            if rring.count == 0 and rring.producer is not None:
-                rring.producer.fill(vec)
+            if rring.count == 0 and rring.left is not None:
+                rring.fill(vec, rpb, wide)
             rhead = vec.get2(rring.start + rring.head) if rring.count else False
         if lhead is not False and (rhead is False or not rhead < lhead):
             src, item = lring, lhead

@@ -257,9 +257,12 @@ class TestCli:
         ids=["verify-csv", "verify-reps", "verify-timeout", "mem-sweep-cache-mb", "mem-sweep-cache-bytes"],
     )
     def test_flags_a_subcommand_does_not_read_are_rejected(self, args, tmp_path):
+        # an unrecognised flag is reported by the top parser, not the command's
         r = self.run_cli(*args, cwd=tmp_path)
         assert r.returncode == 2, r.stdout
-        assert "unrecognized arguments" in r.stderr
+        err = r.stderr.splitlines()
+        assert err[0].startswith("usage: copq [-h] ")
+        assert err[-1] == f"copq: error: unrecognized arguments: {' '.join(args[-2:])}"
         assert not (tmp_path / "x.csv").exists()
 
     @pytest.mark.parametrize(
@@ -337,7 +340,8 @@ class TestCli:
             main(list(args))
         assert exit_.value.code == 2
         out, err = capsys.readouterr()
-        assert [line for line in err.splitlines() if line.startswith("copq: error: ")] == [err.splitlines()[-1]]
+        prefix = f"copq {args[0]}: error: "
+        assert [line for line in err.splitlines() if line.startswith(prefix)] == [err.splitlines()[-1]]
         assert "Traceback" not in err and out == ""
         assert not (tmp_path / "g.gr").exists()
 
@@ -412,8 +416,28 @@ class TestCli:
         with pytest.raises(SystemExit) as exit_:
             main(list(args))
         assert exit_.value.code == 2
-        assert capsys.readouterr().err.splitlines()[-1] == f"copq: error: {message}"
+        assert capsys.readouterr().err.splitlines()[-1] == f"copq {args[0]}: error: {message}"
         assert not (tmp_path / "bad.csv").exists()
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ("pq-bench", "--heap", "funnel", "--sizes", "256 0", "--reps", "1"),
+            ("sssp-bench", "--heap", "funnel", "--gnp-sizes", "16 -3", "--reps", "1"),
+            ("mem-sweep", "--heap", "funnel", "--n", "0", "--cache-mb-list", "1"),
+            ("gen-graph", "--n", "0", "--out", "g.gr"),
+            ("verify", "--heap", "funnel", "--gnp-n", "0"),
+        ],
+        ids=lambda args: args[0],
+    )
+    def test_usage_error_shows_the_commands_usage(self, args, capsys, tmp_path, monkeypatch):
+        # a bad value is reported like argparse's own errors for the command:
+        # the command's usage line, which lists the flags it takes, comes first
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(SystemExit) as exit_:
+            main(list(args))
+        assert exit_.value.code == 2
+        assert capsys.readouterr().err.splitlines()[0].startswith(f"usage: copq {args[0]} ")
 
     @pytest.mark.parametrize(
         "cmd,flag,text",
@@ -422,7 +446,7 @@ class TestCli:
     def test_list_flag_that_is_not_numbers_is_named(self, cmd, flag, text, capsys):
         with pytest.raises(SystemExit):
             main([cmd, "--heap", "funnel", flag, text, "--reps", "1"])
-        assert capsys.readouterr().err.splitlines()[-1] == f"copq: error: {flag}: not a list of numbers: {text!r}"
+        assert capsys.readouterr().err.splitlines()[-1] == f"copq {cmd}: error: {flag}: not a list of numbers: {text!r}"
 
     @pytest.mark.parametrize(
         "args,path",
@@ -466,8 +490,9 @@ class TestCli:
             main([str(a) for a in args])
         assert exit_.value.code == 2
         out, err = capsys.readouterr()
-        assert [line for line in err.splitlines() if line.startswith("copq: error: ")] == [err.splitlines()[-1]]
-        assert err.splitlines()[-1].startswith(f"copq: error: {path}: ")
+        prefix = f"copq {args[0]}: error: "
+        assert [line for line in err.splitlines() if line.startswith(prefix)] == [err.splitlines()[-1]]
+        assert err.splitlines()[-1].startswith(f"{prefix}{path}: ")
         assert "Traceback" not in err and out == ""
 
     @pytest.mark.parametrize(
@@ -486,7 +511,7 @@ class TestCli:
             main([cmd, "--heap", heap, "--dimacs", str(gr)])
         assert exit_.value.code == 2
         out, err = capsys.readouterr()
-        assert err.splitlines()[-1].startswith("copq: error: ") and message in err.splitlines()[-1]
+        assert err.splitlines()[-1].startswith(f"copq {cmd}: error: ") and message in err.splitlines()[-1]
         assert "Traceback" not in err and out == ""
 
     def test_gen_graph_config_unknown_key_rejected(self, tmp_path):

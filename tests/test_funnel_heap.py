@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from copq.funnel_heap import FunnelHeap, _Merger, _Ring, _link_params
+from copq.funnel_heap import FunnelHeap, _Ring, _link_params
 from copq.emcore import MB, BlockVector, EmConfig
 from copq.graphs import GnpSpec, gen_gnp
 from copq.sssp import sssp_funnel
@@ -87,22 +87,21 @@ class TestSweep:
             pos += cap
         assert pos == len(h.vector)
 
-        def inputs(ring):  # the producer-less rings a merger tree reads
-            m = ring.producer
-            return [ring] if m is None else inputs(m.left) + inputs(m.right)
+        def inputs(ring):  # the input-less rings a merger tree reads
+            return [ring] if ring.left is None else inputs(ring.left) + inputs(ring.right)
 
-        assert h._I.producer is None
+        assert h._I.left is None and h._I.right is None and h._I.dry
         for j, ln in enumerate(h._links):
             for r in [ln.A, ln.B, *ln.internals]:
-                assert r.producer.out is r
-            assert all(leaf.producer is None for leaf in ln.leaves)
+                assert r.left is not None and r.right is not None
+            assert all(leaf.left is None and leaf.right is None and leaf.dry for leaf in ln.leaves)
             assert inputs(ln.B) == ln.leaves
-            assert ln.A.producer.left is ln.B
-            right = ln.A.producer.right
+            assert ln.A.left is ln.B
+            right = ln.A.right
             if j + 1 < len(h._links):
                 assert right is h._links[j + 1].A
             else:
-                assert right.cap == 0 and right.producer is None
+                assert right.cap == 0 and right.left is None and right.dry
         h.check_invariants()
 
     def test_link_growth_is_geometric(self):
@@ -247,6 +246,34 @@ class TestOracle:
             h.check_invariants()
 
 
+class TestDry:
+    """A ring's `dry` flag lets a fill be skipped: it must be set on every
+    ring without inputs, and on a ring with inputs only while both inputs
+    are empty and dry, so a skipped fill never leaves a record behind."""
+
+    @pytest.mark.parametrize("block,cache", [(4096, 32 * 1024), (256, 1024), (64, 64)])
+    def test_dry_ring_has_an_empty_subtree(self, block, cache):
+        h = FunnelHeap(cache_bytes=cache, block_bytes=block)
+        rng = random.Random(block)
+
+        def check():
+            for r in h._all_rings():
+                if r.left is None:
+                    assert r.dry and r.right is None
+                elif r.dry:
+                    assert r.left.count == r.right.count == 0 and r.left.dry and r.right.dry
+
+        for i in range(20_000):
+            if h and rng.random() < 0.4:
+                h.delete_min()
+            else:
+                h.insert(i, rng.getrandbits(20))
+            check()
+        while h:
+            h.delete_min()
+            check()
+
+
 def _ring_at(rpb, start, cap, head, count):
     """A ring over records start..start+cap-1 of a cold vector of 16-byte
     records, rpb to a block, whose record i is 100 + i."""
@@ -334,7 +361,7 @@ WINDOW_GRID = [(block, frames) for block in (16, 32, 48, 64, 256) for frames in 
 
 
 class TestWindowMerge:
-    """_Merger.fill moves a block window at a time; it must count exactly
+    """_Ring.fill moves a block window at a time; it must count exactly
     like the per-record merge, oracles.reference_fill, and leave the same
     blocks resident in the same LRU order with the same dirty flags."""
 
@@ -342,7 +369,7 @@ class TestWindowMerge:
     def test_counts_like_per_record_merge(self, block, frames, monkeypatch):
         seed = WINDOW_GRID.index((block, frames))
         with monkeypatch.context() as m:
-            m.setattr(_Merger, "fill", reference_fill)
+            m.setattr(_Ring, "fill", reference_fill)
             want = _counted_trace(seed, block, frames)
         got = _counted_trace(seed, block, frames)
         bad = next((i for i, (a, b) in enumerate(zip(got, want)) if a != b), None)
@@ -359,6 +386,6 @@ class TestWindowMerge:
             return res.dist, res.stats, res.heap_inserts, res.peak_heap_entries
 
         with monkeypatch.context() as m:
-            m.setattr(_Merger, "fill", reference_fill)
+            m.setattr(_Ring, "fill", reference_fill)
             want = run()
         assert run() == want
