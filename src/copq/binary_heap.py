@@ -76,7 +76,10 @@ class BinaryHeap:
         """Append the absent ident at key and sift it up."""
         i = self._n
         self._n += 1
-        self.heap.extend(1)
+        # the vector keeps its high-water mark, whose blocks the heap's peak
+        # has paid for; slots from _n up hold stale records no op reads
+        if i == len(self.heap):
+            self.heap.extend(1)
         self._pos_set(ident, i + 1)
         self._sift_up(i, key << 64 | ident)
 
@@ -92,7 +95,6 @@ class BinaryHeap:
         top = self.heap.get2(0)
         self._pos_set(top & MASK64, 0)
         last = self.heap.get2(self._n - 1)
-        self.heap.truncate(self._n - 1)
         self._n -= 1
         if self._n:
             self._pos_set(last & MASK64, 1)

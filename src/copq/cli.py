@@ -18,7 +18,7 @@ from .bench import (
     run_sssp_bench,
     write_csv,
 )
-from .emcore import EmConfig, MB
+from .emcore import MB
 from .graphs import Graph, GnpSpec, gen_gnp, parse_dimacs, write_dimacs
 from .sssp import SSSP, sssp_reference
 
@@ -44,16 +44,34 @@ def _add_runs(p: argparse.ArgumentParser) -> None:
     p.add_argument("--csv", type=str, default=None, help="write results to this file (default stdout)")
 
 
-def _mb_bytes(flag: str, mb: float) -> int:
-    """mb MB in whole bytes; a size that is not finite is a ValueError naming flag."""
-    size = mb * MB
-    if not math.isfinite(size):
-        raise ValueError(f"{flag}: {mb} MB is not a finite number of bytes")
-    return int(size)
+def _at_least(flag: str, value, low):
+    """value, or a ValueError naming flag if value is below low (or NaN)."""
+    if not value >= low:
+        raise ValueError(f"{flag} must be at least {low}, got {value}")
+    return value
 
 
-def _cache_bytes(args) -> int:
-    return args.cache_bytes if args.cache_bytes is not None else _mb_bytes("--cache-mb", args.cache_mb)
+def _caches(args) -> list[int]:
+    """The cache sizes in bytes the command runs at. A size that is not
+    finite, a cache that holds no --block-bytes block or a block that holds
+    no 16-byte record is a ValueError naming the flag and the size as typed."""
+    _at_least("--block-bytes", args.block_bytes, 16)
+    if args.cmd == "mem-sweep":
+        flag, unit, sizes = "--cache-mb-list", MB, [c // MB for c in MEM_SWEEP_CACHES]
+        if args.cache_mb_list is not None:
+            sizes = _parse_list(flag, args.cache_mb_list, float)
+    elif args.cache_bytes is None:
+        flag, unit, sizes = "--cache-mb", MB, [args.cache_mb]
+    else:
+        flag, unit, sizes = "--cache-bytes", 1, [args.cache_bytes]
+    caches = []
+    for size in sizes:
+        if unit == MB and not math.isfinite(size):
+            raise ValueError(f"{flag}: {size} MB is not a finite number of bytes")
+        if size * unit < args.block_bytes:
+            raise ValueError(f"{flag} must hold one --block-bytes block ({args.block_bytes} bytes), got {size}")
+        caches.append(int(size * unit))
+    return caches
 
 
 def _parse_list(flag: str, text: str, kind=int) -> list:
@@ -66,8 +84,8 @@ def _parse_list(flag: str, text: str, kind=int) -> list:
         raise ValueError(f"{flag}: not a list of numbers: {text!r}") from None
     if not values:
         raise ValueError(f"{flag}: empty list: {text!r}")
-    if kind is int and min(values) < 1:
-        raise ValueError(f"{flag} must be at least 1, got {min(values)}")
+    if kind is int:
+        _at_least(flag, min(values), 1)
     return values
 
 
@@ -84,7 +102,7 @@ def _graphs(args, paths: list[str] | None, sizes: list[int]) -> list[Graph]:
     """The graphs in the DIMACS files at paths, or if paths is None, G(n, p) for each n in sizes.
     A G(n, p) flag given next to --dimacs (its value not None) is a ValueError naming it."""
     if paths is None:
-        wmax = _WMAX if args.wmax is None else args.wmax
+        wmax = _WMAX if args.wmax is None else _at_least("--wmax", args.wmax, 1)
         return [gen_gnp(GnpSpec(n=n, weight_max=wmax, seed=args.seed)) for n in sizes]
     for dest in ("gnp_n", "gnp_sizes", "wmax"):  # verify has no gnp_sizes, sssp-bench no gnp_n
         if getattr(args, dest, None) is not None:
@@ -104,11 +122,14 @@ def _load_gen_config(path: str) -> dict:
                 vals[key] = _GNP_KEYS[key](value)
             except (KeyError, ValueError):
                 raise ValueError(f"{path}: bad config entry {item!r} (want n|p|wmax|seed=value)") from None
+    if "wmax" in vals:
+        _at_least(f"{path}: wmax", vals["wmax"], 1)
     return vals
 
 
 def _gnp_spec_from(args) -> GnpSpec:
     vals = {key: getattr(args, key) for key in _GNP_KEYS}
+    _at_least("--wmax", args.wmax, 1)
     if args.config is not None:
         vals.update(_load_gen_config(args.config))
     if vals["n"] is None:
@@ -193,9 +214,8 @@ def _run(args) -> int:
     if args.cmd == "verify":
         if args.dimacs is None and args.gnp_n is None:
             raise ValueError("need --gnp-n or --dimacs")
+        (cache,) = _caches(args)
         (g,) = _graphs(args, None if args.dimacs is None else [args.dimacs], [args.gnp_n])
-        cache = _cache_bytes(args)
-        EmConfig(cache, args.block_bytes)
         if not 0 <= args.source < g.vertex_count:
             raise ValueError(f"--source {args.source} out of range [0, {g.vertex_count})")
         res = SSSP[args.heap](
@@ -210,21 +230,12 @@ def _run(args) -> int:
         print(f"MISMATCH at vertex {bad}: {args.heap}={res.dist[bad]} reference={want[bad]}", file=sys.stderr)
         return 1
 
-    if args.reps < 1:
-        raise ValueError(f"--reps must be at least 1, got {args.reps}")
-    if args.timeout_secs is not None and not args.timeout_secs >= 0:
-        raise ValueError(f"--timeout-secs must be at least 0, got {args.timeout_secs}")
+    _at_least("--reps", args.reps, 1)
+    if args.timeout_secs is not None:
+        _at_least("--timeout-secs", args.timeout_secs, 0)
     if args.cmd == "mem-sweep":
-        if args.n < 1:
-            raise ValueError(f"--n must be at least 1, got {args.n}")
-        caches = MEM_SWEEP_CACHES
-        if args.cache_mb_list is not None:
-            listed = _parse_list("--cache-mb-list", args.cache_mb_list, float)
-            caches = [_mb_bytes("--cache-mb-list", m) for m in listed]
-    else:
-        caches = [_cache_bytes(args)]
-    for cache in caches:
-        EmConfig(cache, args.block_bytes)
+        _at_least("--n", args.n, 1)
+    caches = _caches(args)
     if args.cmd == "pq-bench":
         sizes = _parse_list("--sizes", args.sizes) if args.sizes is not None else None
         work = functools.partial(run_pq_bench, args.heap, sizes, caches[0])

@@ -10,15 +10,16 @@ A record is one Python int: an 8-byte record is its value, a 16-byte record
 with fields a and k is ``a << 64 | k``, so records order like their ``(a, k)``
 pairs and compare as whole ints. A block's records live in one table from
 block id to a list of ``records_per_block`` ints; ``get2`` returns the int
-that ``put2`` stored, and ``set2(i, a, k)`` stores the two fields as one.
-The bytes view is ``get``/``set``: a record as little-endian unsigned 64-bit
-fields, ``<Q`` for 8 bytes and ``<QQ`` as ``(r >> 64, r & MASK64)`` for 16.
-Those are the only record sizes. A block gets the zero record ``0`` in every
-slot at its first touch, read or write, and gives its list up when
-``truncate`` drops it, so untouched and dropped records read as zero. Which
+that ``put2`` stored. The bytes view is ``get``/``set``: a record as
+little-endian unsigned 64-bit fields, ``<Q`` for 8 bytes and ``<QQ`` as
+``(r >> 64, r & MASK64)`` for 16. Those are the only record sizes. A block
+gets the zero record ``0`` in every slot at its first touch, read or write,
+and keeps its list from then on, so untouched records read as zero. Which
 blocks hold a list decides no count: the counters follow the LRU cache
-alone. The vector checks indices and record sizes, not values: the heaps and
-``ExternalGraph`` check what they store where values enter the library.
+alone. A vector only grows: ``extend`` is its one length change, so a
+structure's vector stays at its high-water mark. The vector checks indices
+and record sizes, not values: the heaps and ``ExternalGraph`` check what
+they store where values enter the library.
 
 The record accessors are written for throughput: the LRU bump and the
 fault bookkeeping live in ``_switch``, which an accessor calls only when it
@@ -168,7 +169,7 @@ class BlockVector:
     ``records_per_block`` records, the remainder of the block is padding.
     Every record access touches exactly one block; touching a non-resident
     block costs one block read, and evicting a dirty block costs one block
-    write. Logical growth (``extend``) and ``truncate`` cost nothing.
+    write. Logical growth (``extend``) costs nothing; a vector never shrinks.
     """
 
     __slots__ = (
@@ -194,7 +195,7 @@ class BlockVector:
         self._rb = config.record_bytes
         self._frames = config.frame_count
         self._length = 0
-        self._blocks: dict[int, list[int]] = {}  # block id -> records, touched and not dropped
+        self._blocks: dict[int, list[int]] = {}  # block id -> records, once touched
         self._resident: dict[int, bool] = {}  # block id -> dirty, insertion order = LRU order
         # None, which equals no block id, forces the next access through _switch
         self._last_block: int | None = None
@@ -222,7 +223,7 @@ class BlockVector:
             res[b] = dirty
         else:
             res[b] = d or dirty
-        # first touch, or a resident block that truncate dropped: zero records
+        # first touch: zero records
         data = self._blocks.get(b)
         if data is None:
             data = self._blocks[b] = [0] * self._rpb
@@ -266,16 +267,11 @@ class BlockVector:
             self._resident[b] = True
         self._last_data[i - b * self._rpb] = rec
 
-    def set2(self, i: int, a: int, k: int) -> None:
-        """Store the 16-byte record with fields a and k at index i."""
-        self.put2(i, a << 64 | k)
-
     def touch(self, b: int, dirty: bool) -> list[int]:
         """Charge one get2 (dirty false) or put2 (dirty true) of a record in
         block b and return the block's live record list: records b * rpb
         onwards, which the caller may read and, after a dirty touch, write
-        below the vector's length.
-        The list stays the block's until truncate drops the block."""
+        below the vector's length. The list stays the block's for good."""
         if b != self._last_block:
             if not 0 <= b * self._rpb < self._length:
                 raise IndexError(f"block {b} holds no record below {self._length}")
@@ -344,7 +340,7 @@ class BlockVector:
             raise IndexError(f"record run [{lo}, {hi}) out of range [0, {self._length})")
         rpb, out = self._rpb, []
         for b in range(lo // rpb, -(-hi // rpb)):
-            data = self._blocks.get(b) or [0] * rpb  # no list yet or any more: zeros
+            data = self._blocks.get(b) or [0] * rpb  # no list yet: zeros
             out += data[max(lo - b * rpb, 0) : hi - b * rpb]
         return out
 
@@ -360,36 +356,6 @@ class BlockVector:
         if n < 0:
             raise ValueError("extend count must be non-negative")
         self._length += n
-
-    def truncate(self, n: int) -> None:
-        """Shrink logical length to n records without I/O. A wholly dropped block
-        gives up its records and the dropped records of a partial block are
-        reset to the zero record, so they read as zero if the vector is later
-        re-extended. Only records below the old length are reset: every record
-        at or above the length is zero already, since no accessor and no
-        caller of touch writes there, and extend only grows over zeros."""
-        if n > self._length:
-            raise ValueError(f"cannot truncate to {n}: length is {self._length}")
-        if n < 0:
-            raise ValueError("truncate length must be non-negative")
-        old = self._length
-        self._length = n
-        if old == n:
-            return
-        b, lo = divmod(n, self._rpb)
-        if lo:
-            data = self._blocks.get(b)
-            if data is not None:
-                hi = min(old - b * self._rpb, self._rpb)
-                data[lo:hi] = [0] * (hi - lo)
-            b += 1
-        for d in range(b, (old - 1) // self._rpb + 1):
-            self._blocks.pop(d, None)
-        # the dropped blocks keep their LRU slot and dirty flag, so counts do
-        # not change; only the fast path must stop pointing at their records
-        if self._last_block is not None and self._last_block >= b:
-            self._last_block = None
-            self._last_data = []
 
     # -- counters ---------------------------------------------------------------------
 

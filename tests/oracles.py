@@ -264,7 +264,8 @@ def reference_relax(heap, ident, key):
         assert not position()
         i = len(heap)
         heap._n += 1
-        vec.extend(1)
+        if i == len(vec):
+            vec.extend(1)
         if ident >= heap._ids:
             pos.extend(ident + 1 - heap._ids)
             heap._ids = ident + 1

@@ -202,7 +202,7 @@ def test_criterion_3_lru_exactness():
     v = BlockVector(EmConfig(16 * MB, 4096, 16))
     v.extend(1 << 20)
     for i in range(0, 1 << 20, 509):
-        v.set2(i, i, 1)
+        v.put2(i, i << 64 | 1)
     v.drop_cache()
     v.reset_stats()
     for i in range(1 << 20):

@@ -391,6 +391,36 @@ class TestCli:
             ),
             (("verify", "--heap", "funnel", "--dimacs", "g.gr", "--gnp-n", "5"), "--gnp-n: not allowed with --dimacs"),
             (("verify", "--heap", "funnel", "--dimacs", "g.gr", "--wmax", "5"), "--wmax: not allowed with --dimacs"),
+            # the simulator's geometry and the edge weights are named by the
+            # flags that set them, not by the library's parameters
+            (
+                ("pq-bench", "--heap", "funnel", "--sizes", "256", "--reps", "1", "--block-bytes", "8", "--csv", "bad.csv"),
+                "--block-bytes must be at least 16, got 8",
+            ),
+            (("verify", "--heap", "funnel", "--gnp-n", "16", "--block-bytes", "8"), "--block-bytes must be at least 16, got 8"),
+            (
+                ("pq-bench", "--heap", "funnel", "--sizes", "256", "--reps", "1", "--cache-bytes", "100"),
+                "--cache-bytes must hold one --block-bytes block (4096 bytes), got 100",
+            ),
+            (
+                ("verify", "--heap", "funnel", "--gnp-n", "16", "--cache-mb", "0.001"),
+                "--cache-mb must hold one --block-bytes block (4096 bytes), got 0.001",
+            ),
+            (
+                ("mem-sweep", "--heap", "funnel", "--n", "16", "--cache-mb-list", "1 0.001", "--csv", "bad.csv"),
+                "--cache-mb-list must hold one --block-bytes block (4096 bytes), got 0.001",
+            ),
+            (
+                ("sssp-bench", "--heap", "funnel", "--gnp-sizes", "16", "--block-bytes", "8192", "--cache-bytes", "4096"),
+                "--cache-bytes must hold one --block-bytes block (8192 bytes), got 4096",
+            ),
+            (("gen-graph", "--n", "16", "--wmax", "0", "--out", "g.gr"), "--wmax must be at least 1, got 0"),
+            (("gen-graph", "--config", "w.cfg", "--out", "g.gr"), "w.cfg: wmax must be at least 1, got 0"),
+            (
+                ("sssp-bench", "--heap", "funnel", "--gnp-sizes", "16", "--wmax", "0", "--csv", "bad.csv"),
+                "--wmax must be at least 1, got 0",
+            ),
+            (("verify", "--heap", "funnel", "--gnp-n", "16", "--wmax", "-2"), "--wmax must be at least 1, got -2"),
         ],
         ids=[
             "gen-graph-zero-n",
@@ -407,11 +437,22 @@ class TestCli:
             "sssp-bench-dimacs-and-wmax",
             "verify-dimacs-and-gnp-n",
             "verify-dimacs-and-wmax",
+            "pq-bench-block-below-a-record",
+            "verify-block-below-a-record",
+            "pq-bench-cache-bytes-below-a-block",
+            "verify-cache-mb-below-a-block",
+            "mem-sweep-cache-mb-list-below-a-block",
+            "sssp-bench-block-above-the-cache",
+            "gen-graph-zero-wmax",
+            "gen-graph-config-zero-wmax",
+            "sssp-bench-zero-wmax",
+            "verify-negative-wmax",
         ],
     )
     def test_usage_error_says_what_is_wrong(self, args, message, capsys, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
         (tmp_path / "g.cfg").write_text("n=8, q=3\n")
+        (tmp_path / "w.cfg").write_text("n=8 wmax=0\n")
         (tmp_path / "g.gr").write_text("p sp 2 2\na 1 2 5\na 2 1 5\n")
         with pytest.raises(SystemExit) as exit_:
             main(list(args))

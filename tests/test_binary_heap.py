@@ -1,3 +1,4 @@
+import heapq
 import random
 
 import pytest
@@ -75,6 +76,27 @@ class TestBasics:
         assert [(v.stats(), v.peek_lru()) for v in h.vectors().values()] == before
         assert h.delete_min() == (2, 5)
         assert h.delete_min() == (1, 9)
+
+
+    def test_heap_vector_keeps_its_high_water_mark(self):
+        # 16 records a block, n past three blocks: insert n, pop n/2, insert
+        # n/2, pop to empty. The vector grows with the heap to n and never
+        # shrinks; the slots above len(h) hold stale records no op reads.
+        n, rng = 56, random.Random(3)
+        h, want, peak = BinaryHeap(cache_bytes=4 * 256, block_bytes=256), [], 0
+        ops = [True] * n + [False] * (n // 2) + [True] * (n // 2) + [False] * n
+        for ident, push in enumerate(ops):
+            if push:
+                key = rng.randrange(20)
+                h.insert(ident, key)
+                heapq.heappush(want, (key, ident))
+            else:
+                key, ident = heapq.heappop(want)
+                assert h.delete_min() == (ident, key)
+            h.check_invariants()
+            peak = max(peak, len(h))
+            assert len(h.heap) == peak
+        assert len(h) == 0 and len(h.heap) == n
 
 
 class TestOracle:

@@ -51,7 +51,7 @@ class TestBasicSemantics:
         v = make()
         v.extend(256)
         for i in range(256):
-            v.set2(i, i, i * 7)
+            v.put2(i, i << 64 | i * 7)
         v.drop_cache()
         v.reset_stats()
         for i in range(256):
@@ -63,7 +63,7 @@ class TestBasicSemantics:
         v = make()
         v.extend(1 << 20)
         for i in range(0, 1 << 20, 997):
-            v.set2(i, i, 1)
+            v.put2(i, i << 64 | 1)
         v.drop_cache()
         v.reset_stats()
         for i in range(1 << 20):
@@ -83,7 +83,7 @@ class TestBasicSemantics:
     def test_set_then_get_resident(self):
         v = make()
         v.extend(10)
-        v.set2(0, 42, 7)
+        v.put2(0, 42 << 64 | 7)
         assert v.get2(0) == 42 << 64 | 7
         s = v.stats()
         assert s.block_reads == 1  # the initial fault
@@ -92,8 +92,8 @@ class TestBasicSemantics:
     def test_dirty_eviction_writes_back(self):
         v = make(cache=4096, block=4096, rec=16)  # one frame
         v.extend(512)
-        v.set2(0, 1, 1)  # block 0 resident+dirty
-        v.set2(256, 2, 2)  # faults block 1, evicts dirty block 0
+        v.put2(0, 1 << 64 | 1)  # block 0 resident+dirty
+        v.put2(256, 2 << 64 | 2)  # faults block 1, evicts dirty block 0
         s = v.stats()
         assert s.block_reads == 2
         assert s.block_writes == 1
@@ -138,9 +138,7 @@ class TestBasicSemantics:
         with pytest.raises(IndexError):
             v.get(3)
         with pytest.raises(IndexError):
-            v.set2(3, 0, 0)
-        with pytest.raises(ValueError):
-            v.truncate(4)
+            v.put2(3, 0)
 
     def test_bad_record_size(self):
         v = make()
@@ -154,51 +152,12 @@ class TestBasicSemantics:
         assert v.get2(999) == 0
         assert v.get(500) == bytes(16)
 
-    def test_truncate_then_extend_exposes_zeros(self):
-        v = make()
-        v.extend(10)
-        v.set2(7, 9, 9)
-        v.truncate(5)
-        v.extend(10)
-        assert v.get2(7) == 0
-
-    @pytest.mark.parametrize("cut", [9, 5, 8])
-    def test_truncate_from_mid_block_then_extend_exposes_zeros(self, cut):
-        # four records a block; the old length 11 ends inside block 2, and the
-        # cut lands in that block, in an earlier one, or on a block boundary
-        v = make(block=64)
-        v.extend(11)
-        for i in range(11):
-            v.put2(i, i + 1 << 64 | i + 1)
-        v.truncate(cut)
-        v.extend(16 - cut)
-        assert v.peek_run2(0, 16) == [i + 1 << 64 | i + 1 for i in range(cut)] + [0] * (16 - cut)
-        assert [v.get2(i) for i in range(cut, 16)] == [0] * (16 - cut)
-
-    def test_truncate_frees_dropped_blocks(self):
-        # 64 dirty blocks against 8 frames, all dropped, then read back
-        nblocks = 64
-        tracemalloc.start()
-        try:
-            v = make(cache=8 * 4096)
-            v.extend(nblocks * 256)
-            for i in range(nblocks * 256):
-                v.put2(i, i << 64 | i + 1)
-            held = tracemalloc.get_traced_memory()[0]
-            v.truncate(0)
-            freed = held - tracemalloc.get_traced_memory()[0]
-        finally:
-            tracemalloc.stop()
-        assert freed >= nblocks * 4096  # the bytes of every block
-        v.extend(nblocks * 256)
-        assert all(v.get2(i) == 0 for i in range(nblocks * 256))
-        # the counts of a vector that kept the dropped blocks' bytes: dropping
-        # them moves no block in or out of the cache
-        assert v.stats() == IoStats(block_reads=128, block_writes=64, evictions=120)
-
 
 class TestArrayOracle:
     def run_trace(self, v, rng, steps):
+        # growth stops at 40 records: the vector never shrinks, and a short
+        # one keeps the trace's blocks partly cached, so it mixes hits and
+        # evictions
         oracle = []
 
         def pair():
@@ -206,7 +165,8 @@ class TestArrayOracle:
 
         for _ in range(steps):
             op = rng.random()
-            if op < 0.35 or not oracle:
+            grow = len(oracle) < 40
+            if not oracle or op < 0.35 and grow:
                 a, k = pair()
                 v.extend(1)
                 v.put2(len(oracle), a << 64 | k)
@@ -215,11 +175,6 @@ class TestArrayOracle:
                 i = rng.randrange(len(oracle))
                 assert v.peek_run2(i, i + 1) == [oracle[i]]  # first, while the block may be out of cache
                 assert v.get2(i) == oracle[i]
-            elif op < 0.65:
-                i = rng.randrange(len(oracle))
-                a, k = pair()
-                v.set2(i, a, k)
-                oracle[i] = a << 64 | k
             elif op < 0.75:
                 i = rng.randrange(len(oracle))
                 a, k = pair()
@@ -235,11 +190,7 @@ class TestArrayOracle:
                 run = [a << 64 | k for a, k in (pair() for _ in range(rng.randint(0, min(len(oracle) - lo, 12))))]
                 v.write_run2(lo, run)
                 oracle[lo : lo + len(run)] = run
-            elif op < 0.95:
-                n = rng.randrange(len(oracle) + 1)
-                v.truncate(n)
-                del oracle[n:]
-            else:
+            elif grow:
                 n = rng.randrange(8)
                 v.extend(n)
                 oracle.extend([0] * n)
@@ -249,8 +200,8 @@ class TestArrayOracle:
 
     @pytest.mark.parametrize("seed", range(5))
     def test_random_traces_match_plain_array(self, seed):
-        # four records a block, four frames: the trace keeps about 10-40
-        # records, so it evicts a few hundred times
+        # four records a block, four frames: the trace grows to 40-46
+        # records, so it evicts a few thousand times
         v = make(cache=4 * 64, block=64, rec=16)
         self.run_trace(v, random.Random(seed), 4000)
 
@@ -295,9 +246,9 @@ class TestRunAccessors:
             elif op == "put2":
                 v.put2(x, y)
                 twin.put2(x, y)
-            else:  # extend or truncate
-                getattr(v, op)(x)
-                getattr(twin, op)(x)
+            else:
+                v.extend(x)
+                twin.extend(x)
             assert v.stats() == twin.stats(), (op, x)
             assert v.peek_lru() == twin.peek_lru(), (op, x)
             assert v.peek_run2(0, len(v)) == twin.peek_run2(0, len(twin)), (op, x)
@@ -307,8 +258,8 @@ class TestRunAccessors:
 
     @staticmethod
     def random_ops(rng, steps):
-        # runs of up to 12 records cross blocks, and the trace keeps about
-        # 10-40 records, so it evicts often
+        # runs of up to 12 records cross blocks, and the trace grows to
+        # 40-50 records and no further, so it evicts often
         def record():
             return rng.getrandbits(64) << 64 | rng.getrandbits(64)
 
@@ -318,7 +269,7 @@ class TestRunAccessors:
             for _ in range(steps):
                 n = len(v)
                 op = rng.random()
-                if op < 0.6 and n:
+                if op < 0.6:
                     if rng.random() < 0.5:
                         lo = min(n, last // 4 * 4 + rng.randrange(4))
                     else:
@@ -330,15 +281,13 @@ class TestRunAccessors:
                         yield "write_run2", lo, [record() for _ in range(hi - lo)]
                     if hi > lo:
                         last = hi - 1
-                elif op < 0.75 and n:
+                elif op < 0.75:
                     last = rng.randrange(n)
                     yield "get2", last, None
-                elif op < 0.88 and n:
+                elif op < 0.88:
                     last = rng.randrange(n)
                     yield "put2", last, record()
-                elif op < 0.94:
-                    yield "truncate", rng.randrange(n + 1), None
-                else:
+                elif n < 40:
                     yield "extend", rng.randrange(12), None
 
         return ops
@@ -376,7 +325,7 @@ class TestRunAccessors:
     def test_out_of_range_run_raises_before_any_touch(self):
         v = make(cache=64, block=64, rec=16)
         v.extend(8)
-        v.set2(7, 1, 2)
+        v.put2(7, 1 << 64 | 2)
         before = v.stats()
         for lo, hi in ((0, 9), (-1, 2), (3, 2)):
             with pytest.raises(IndexError):
@@ -427,8 +376,8 @@ class TestPeekRun:
 
     def run_twin_trace(self, rng, steps):
         # v runs its twin's trace with peek_run2 calls interleaved, checked
-        # against a plain list; four records a block and three frames, so
-        # the trace evicts often
+        # against a plain list; four records a block, three frames and
+        # growth up to 40-50 records, so the trace evicts often
         v, twin = make(cache=3 * 64, block=64, rec=16), make(cache=3 * 64, block=64, rec=16)
         v.extend(8)
         twin.extend(8)
@@ -440,21 +389,16 @@ class TestPeekRun:
                 lo = rng.randrange(n + 1)
                 hi = rng.randint(lo, min(n, lo + 12))
                 assert v.peek_run2(lo, hi) == oracle[lo:hi]
-            elif op < 0.55 and n:
+            elif op < 0.55:
                 i = rng.randrange(n)
                 assert v.get2(i) == twin.get2(i)
-            elif op < 0.8 and n:
+            elif op < 0.8:
                 i = rng.randrange(n)
                 rec = rng.getrandbits(64) << 64 | rng.getrandbits(64)
                 v.put2(i, rec)
                 twin.put2(i, rec)
                 oracle[i] = rec
-            elif op < 0.9:
-                m = rng.randrange(n + 1)
-                v.truncate(m)
-                twin.truncate(m)
-                del oracle[m:]
-            else:
+            elif n < 40:
                 m = rng.randrange(12)
                 v.extend(m)
                 twin.extend(m)
@@ -474,13 +418,12 @@ class TestPeekRun:
     def test_peeks_leave_counts_and_lru_order_alone(self, seed):
         self.run_twin_trace(random.Random(seed), 3000)
 
-    def test_untouched_and_truncated_blocks_read_zero(self):
+    def test_untouched_records_and_blocks_read_zero(self):
         v = make(cache=2 * 64, block=64, rec=16)
         v.extend(12)
-        v.write_run2(0, [i << 64 | i for i in range(1, 11)])
-        v.truncate(6)  # drops block 2 whole and the tail of block 1
-        v.extend(10)  # block 3 and beyond were never touched
-        assert v.peek_run2(0, 16) == [i << 64 | i for i in range(1, 7)] + [0] * 10
+        v.write_run2(0, [i << 64 | i for i in range(1, 11)])  # not records 10 and 11
+        v.extend(4)  # block 3 was never touched
+        assert v.peek_run2(0, 16) == [i << 64 | i for i in range(1, 11)] + [0] * 6
         assert v.stats() == IoStats(block_reads=3, block_writes=1, evictions=1)
 
     def test_out_of_range_and_record_size(self):
@@ -518,7 +461,7 @@ class TestTouch:
         for _ in range(3000):
             n = len(v)
             op = rng.random()
-            if op < 0.85 and n:
+            if op < 0.85:
                 i = rng.randrange(n)
                 b, off = divmod(i, 4)
                 if op < 0.45:
@@ -527,11 +470,7 @@ class TestTouch:
                     rec = rng.getrandbits(128)
                     v.touch(b, True)[off] = rec
                     twin.put2(i, rec)
-            elif op < 0.93:
-                m = rng.randrange(n + 1)
-                v.truncate(m)
-                twin.truncate(m)
-            else:
+            elif n < 48:
                 m = rng.randrange(12)
                 v.extend(m)
                 twin.extend(m)
@@ -551,15 +490,12 @@ class TestTouch:
                 v.touch(b, False)
         assert v.stats() == IoStats(1, 0, 0)
 
-    @pytest.mark.parametrize("state", ["fresh", "truncated", "dropped"])
+    @pytest.mark.parametrize("state", ["fresh", "dropped"])
     def test_no_block_state_matches_no_block_id(self, state):
         # the states in which the vector's fast path points at no block
         v = make(cache=4 * 64, block=64, rec=16)
         v.extend(32)  # blocks 0..7
-        if state == "truncated":
-            v.touch(7, True)
-            v.truncate(20)  # drops blocks 5..7; block 7 keeps its frame, dirty
-        elif state == "dropped":
+        if state == "dropped":
             v.touch(7, True)
             v.drop_cache()
         before = (v.stats(), v.peek_lru())
@@ -571,7 +507,7 @@ class TestTouch:
         for b in range(len(v) // 4):
             v.touch(b, False)
         assert all(b >= 0 for b, _ in v.peek_lru())
-        assert v.stats().block_writes == before[0].block_writes + (state == "truncated")
+        assert v.stats().block_writes == before[0].block_writes
 
 
 class TestPeekLru:
@@ -689,7 +625,7 @@ class TestLruOracle:
             for _ in range(5000):
                 i = rng.randrange(10000)
                 if rng.random() < 0.5:
-                    v.set2(i, i, i)
+                    v.put2(i, i << 64 | i)
                 else:
                     v.get2(i)
             return v.stats()
